@@ -21,34 +21,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .polynomial import RationalPoly
-from .primes import is_prime
 from .valuation import (
     INF,
     PreconditionError,
     RationalLike,
     Valuation,
     as_fraction,
+    as_place,
     is_finite,
     reduce_mod_prime_power,
     val,
 )
-
-# Exact-center tracking for type I orbits is abandoned past this many bits;
-# cycle certification stops but escape detection continues on reduced centers.
-_EXACT_CENTER_BIT_GUARD = 1 << 16
-
-
-def _coerce_place(place) -> int:
-    """Accept a Place or a bare prime; return the prime."""
-    p = getattr(place, "p", place)
-    if not isinstance(p, int) or p < 2 or not is_prime(p):
-        raise PreconditionError(f"place requires a prime, got {place!r}")
-    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +56,7 @@ class DiscPoint:
         object.__setattr__(self, "center", as_fraction(self.center))
         if is_finite(self.rho):
             object.__setattr__(self, "rho", as_fraction(self.rho))
-        object.__setattr__(self, "p", _coerce_place(self.p))
+        object.__setattr__(self, "p", as_place(self.p).p)
 
     @property
     def is_type_i(self) -> bool:
@@ -188,7 +176,7 @@ def escape_threshold(phi: RationalPoly, place) -> Fraction:
     leading term strictly dominates, so val(phi(z)) = val(a_d) + d*val(z)
     < val(z), and the valuation decreases to -infinity from there on.
     """
-    p = _coerce_place(place)
+    p = as_place(place).p
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("escape threshold requires degree >= 2")
     d = phi.degree
@@ -204,15 +192,53 @@ def escape_threshold(phi: RationalPoly, place) -> Fraction:
     return best
 
 
+# -- naive height growth -----------------------------------------------------
+
+
+def weil_height(x: RationalLike) -> float:
+    """Naive logarithmic height: h(m/n) = log max(|m|, |n|) in lowest terms."""
+    q = as_fraction(x)
+    return math.log(max(abs(q.numerator), q.denominator))
+
+
+def _height_growth_bound(phi: RationalPoly) -> float:
+    """B with: h(z) > B implies h(phi(z)) >= d*h(z) - (d-1)*B > h(z).
+
+    With integer coefficients A_i = W*a_i (W the denominator lcm),
+    S = sum of |A_i| for i < d, and R1 = max(1, 2S/|A_d|):
+      - |z| >= R1 forces |numerator(phi(z))| >= |m|**d / (2 W |A_d|**(d-1)),
+      - |z| < R1 forces denominator(phi(z)) >= |n|**d / |A_d|**d with
+        max(|m|,|n|) <= R1*|n|,
+    giving h(phi(z)) >= d*h(z) - C with
+    C = max(log(2 W |A_d|**(d-1)), d*log(R1*|A_d|)); B = C/(d-1).
+    (Silverman, The Arithmetic of Dynamical Systems, section 3.4.)
+    """
+    d = phi.degree
+    w = math.lcm(*(c.denominator for c in phi.coefficients))
+    ints = [abs(int(c * w)) for c in phi.coefficients]
+    a_d = ints[-1]
+    s_low = sum(ints[:-1])
+    # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
+    # huge coefficients cannot overflow a float.
+    c_low = max(
+        math.log(2 * w) + (d - 1) * math.log(a_d),
+        d * math.log(max(a_d, 2 * s_low)),
+    )
+    return c_low / (d - 1)
+
+
 # -- filled Julia membership -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Escaped:
     """The orbit certifiably escapes; ``step`` is the first index whose
-    valuation drops below the escape threshold."""
+    valuation drops below the escape threshold, and ``valuation`` is that
+    state's valuation min(val(center), rho).  Equality and JSON ignore
+    ``valuation``."""
 
     step: int
+    valuation: Valuation | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -248,10 +274,6 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
     raise TypeError(f"not a membership verdict: {verdict!r}")
 
 
-def _ceil_frac(q: Fraction) -> int:
-    return math.ceil(q)
-
-
 def filled_julia_membership(
     phi: RationalPoly, zeta: DiscPoint, max_iter: int = 256
 ) -> MembershipVerdict:
@@ -265,10 +287,14 @@ def filled_julia_membership(
 
     Centers are reduced modulo p**W each step; W is provisioned so that
     every valuation compared against the threshold, and every canonical
-    form used for cycle detection, is provably the true one.  If an orbit
-    outruns even that window (enormous radii or, for type I points, exact
-    centers beyond the bit guard), cycle certification is disabled for the
-    remaining steps but escape detection stays sound.
+    form used for cycle detection, is provably the true one.  Type I
+    points also carry the exact center for cycle detection until, at some
+    step m >= 1, its naive height passes the growth bound of
+    ``_height_growth_bound``: from there on heights increase strictly, so
+    the orbit provably never repeats and only escape detection continues.
+    If a disc orbit outruns the window (enormous radii), cycle
+    certification is disabled for the remaining steps but escape detection
+    stays sound.
     """
     if not isinstance(max_iter, int) or max_iter < 1:
         raise PreconditionError(f"max_iter must be a positive integer, got {max_iter!r}")
@@ -284,11 +310,11 @@ def filled_julia_membership(
     # which computed valuations are guaranteed exact after all steps; the
     # extra d*negvc covers comparison slop in the radius update.
     finite_cvals = [val(c, p) for c in phi.coefficients if c != 0]
-    neg = max(0, _ceil_frac(-min(finite_cvals)))
-    negvc = max(0, _ceil_frac(-v_c))
-    rho0_mag = 0 if zeta.is_type_i else 2 * _ceil_frac(abs(zeta.rho))
+    neg = max(0, math.ceil(-min(finite_cvals)))
+    negvc = max(0, math.ceil(-v_c))
+    rho0_mag = 0 if zeta.is_type_i else 2 * math.ceil(abs(zeta.rho))
     loss_per_step = neg + (d - 1) * negvc
-    trust = 64 + 2 * (1 + _ceil_frac(abs(v_c))) + rho0_mag + d * negvc
+    trust = 64 + 2 * (1 + math.ceil(abs(v_c))) + rho0_mag + d * negvc
     rho_trust = trust - d * negvc
     window = trust + (max_iter + 1) * loss_per_step
 
@@ -298,6 +324,7 @@ def filled_julia_membership(
     certifiable = True
     seen: dict[tuple, int] = {}
     verified = 0
+    growth_bound: float | None = None  # computed on first use
 
     for m in range(max_iter + 1):
         verified = m
@@ -312,7 +339,15 @@ def filled_julia_membership(
         if rho_known:
             t = rho if not is_finite(t) else min(t, rho)
         if is_finite(t) and t < v_c:
-            return Escaped(m)
+            return Escaped(m, t)
+
+        # Checked from step 1 on, after the escape test, so orbits that
+        # escape at once never pay for the bound.
+        if exact_center is not None and m >= 1:
+            if growth_bound is None:
+                growth_bound = _height_growth_bound(phi) + 1e-9
+            if weil_height(exact_center) > growth_bound:
+                exact_center = None  # the orbit can no longer repeat
 
         if certifiable:
             key: tuple | None = None
@@ -320,7 +355,7 @@ def filled_julia_membership(
                 if exact_center is not None:
                     key = ("I", exact_center)
             else:
-                kk = _ceil_frac(rho)
+                kk = math.ceil(rho)
                 if kk <= trust:
                     key = ("II", rho, reduce_mod_prime_power(center_red, p, kk))
             if key is not None:
@@ -337,13 +372,6 @@ def filled_julia_membership(
         if not is_finite(rho):
             if exact_center is not None:
                 exact_center = phi(exact_center)
-                bits = (
-                    exact_center.numerator.bit_length()
-                    + exact_center.denominator.bit_length()
-                )
-                if bits > _EXACT_CENTER_BIT_GUARD:
-                    exact_center = None
-                    certifiable = False
             center_red = reduce_mod_prime_power(phi(center_red), p, window)
         else:
             tay = phi.taylor_coefficients(center_red)
@@ -455,7 +483,7 @@ def max_point(
     then snapped to the lowest-denominator rational in the bracket, with
     confirmation probes on both sides of the snapped value.
     """
-    p = _coerce_place(place)
+    p = as_place(place).p
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("max_point requires degree >= 2")
     af = as_fraction(a)
@@ -531,7 +559,7 @@ def good_reduction(phi: RationalPoly, place) -> bool:
     and the leading coefficient is a unit: then the mod-p reduction has the
     same degree and the resultant of the homogenized pair is a unit.
     """
-    p = _coerce_place(place)
+    p = as_place(place).p
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("good reduction test requires degree >= 2")
     if val(phi.leading_coefficient, p) != 0:

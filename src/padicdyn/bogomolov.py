@@ -34,6 +34,7 @@ from .valuation import (
     PreconditionError,
     Valuation,
     as_fraction,
+    as_place,
     in_value_group,
     is_finite,
     val,
@@ -113,14 +114,6 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
     )
 
 
-def _coerce_place(place) -> Place:
-    if isinstance(place, Place):
-        return place
-    if isinstance(place, int):
-        return Place(place)
-    raise PreconditionError(f"not a place: {place!r}")
-
-
 def _scan(
     polygon: NewtonPolygon,
     lead_valuation: Fraction,
@@ -154,7 +147,7 @@ def check_criterion(phi: RationalPoly, place) -> BogomolovCertificate:
     Requires deg phi >= 2 and phi(0) != 0 (the fixed-point polynomial must
     have a nonzero constant term for its polygon to start at index 0).
     """
-    pl = _coerce_place(place)
+    pl = as_place(place)
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("criterion requires degree >= 2")
     if phi(0) == 0:
@@ -178,7 +171,7 @@ def check_criterion_abstract(
     The data must include finite valuations at indices 0 and d; the index-d
     entry doubles as val(a_d) in the bounded-region threshold.
     """
-    pl = _coerce_place(place)
+    pl = as_place(place)
     if not isinstance(d, int) or d < 2:
         raise PreconditionError("criterion requires degree >= 2")
     if isinstance(valuations, Mapping):

@@ -64,11 +64,11 @@ class BoundRow:
 
 
 def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
-    """Rows e = 1..e_max of all three bounds, with exact per-row checks.
+    """Rows e = 1..e_max of all three bounds, with an exact per-row check.
 
-    Each row verifies, on exact integers, that lcm(1..e) <= 3**e and hence
-    new_bound >= nine_exp.  float columns may underflow to 0 for large e;
-    the exact checks never rely on them.
+    Each row verifies, on exact integers, that lcm(1..e) <= 3**e, which is
+    exactly new_bound >= nine_exp (C/lcm**2 >= C*9**-e).  float columns may
+    underflow to 0 for large e; the exact check never relies on them.
     """
     if not isinstance(e_max, int) or e_max < 1:
         raise PreconditionError("e_max must be a positive integer")
@@ -82,18 +82,11 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
         three_pow *= 3
         if lcm_val > three_pow:
             raise RuntimeError(f"lcm(1..{e}) exceeds 3**{e}: exact invariant broken")
-        log_lcm = _log_big(lcm_val)
+        log_lcm = math.log(lcm_val)
         new_bound = _exp_or_zero(math.log(c) - 2 * log_lcm)
         nine_exp = _exp_or_zero(math.log(c) - e * math.log(9))
-        # lcm <= 3**e on integers is exactly C/lcm^2 >= C*9^-e.
-        if lcm_val**2 > 9**e:
-            raise RuntimeError(f"bound comparison failed exactly at e={e}")
         rows.append(BoundRow(e, lcm_val, pottmeyer_bound(e, c), new_bound, nine_exp))
     return rows
-
-
-def _log_big(n: int) -> float:
-    return math.log(n)
 
 
 def _exp_or_zero(logv: float) -> float:
@@ -112,7 +105,7 @@ def find_crossover(e_max: int, c: float = 1.0) -> int | None:
     lcm_val = 1
     for e in range(1, e_max + 1):
         lcm_val = math.lcm(lcm_val, e)
-        if -2 * _log_big(lcm_val) > log_pottmeyer(e, 1.0):
+        if -2 * math.log(lcm_val) > log_pottmeyer(e, 1.0):
             return e
     return None
 

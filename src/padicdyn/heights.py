@@ -5,12 +5,15 @@ phi decomposes as a sum of local escape rates: one archimedean term and one
 term for each prime where either x or a coefficient of phi fails to be
 integral (all other primes contribute exactly zero).
 
-Finite places are handled exactly: once the orbit's valuation crosses the
-escape threshold at step m, the local escape rate is the exact rational
-multiple d**-m * (-t_m - val(a_d)/(d-1)) of log p, and orbits that stay
-integral, or visit the same rational twice, contribute an exact zero.
-Long orbits stay cheap by reducing points modulo a high power of p chosen
-so that every valuation that matters is provably unaffected.
+Finite places are handled exactly, on the orbit engine of
+``filled_julia_membership`` run at the type I point x: once the orbit's
+valuation crosses the escape threshold at step m, the local escape rate is
+the exact rational multiple d**-m * (-t_m - val(a_d)/(d-1)) of log p, and
+orbits that stay integral, or visit the same rational twice, contribute an
+exact zero.  The engine reduces points modulo a high power of p chosen so
+that every valuation that matters is provably unaffected, and stops
+tracking the exact orbit once its naive height passes the growth bound,
+past which no repetition is possible.
 
 The archimedean term is certified with outward-rounded fixed-point interval
 arithmetic (integer mantissas at a chosen binary precision, escalated until
@@ -31,27 +34,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .berkovich import escape_threshold
+from .berkovich import (
+    BoundedCertified,
+    DiscPoint,
+    Escaped,
+    _height_growth_bound,
+    escape_threshold,
+    filled_julia_membership,
+    weil_height,
+)
 from .polynomial import RationalPoly
-from .primes import factorize, is_prime
+from .primes import factorize
 from .valuation import (
     INF,
+    Place,
     PreconditionError,
     RationalLike,
     as_fraction,
-    is_finite,
-    reduce_mod_prime_power,
+    as_place,
     val,
 )
 
 EPS_FLOOR = 1e-12
 _PREPERIODIC_ITERATION_GUARD = 10_000
-
-
-def weil_height(x: RationalLike) -> float:
-    """Naive logarithmic height: h(m/n) = log max(|m|, |n|) in lowest terms."""
-    q = as_fraction(x)
-    return math.log(max(abs(q.numerator), q.denominator))
 
 
 # -- local contributions ------------------------------------------------------
@@ -99,59 +104,39 @@ def _validate_map(phi: RationalPoly) -> int:
 
 
 def local_escape_rate(
-    phi: RationalPoly, x: RationalLike, p: int, max_iter: int = 64
+    phi: RationalPoly, x: RationalLike, p: Place | int, max_iter: int = 64
 ) -> LocalContribution:
     """The p-adic escape rate g_p(x): lim d**-m log+ |phi^m(x)|_p.
 
-    Exact outcomes: a certified escape at step m gives the exact rational
-    multiple d**-m * (-t_m - val(a_d)/(d-1)) of log p, where t_m is the
-    escaping valuation; an integral trap (integral coefficients and point)
-    or an exact orbit repetition gives exactly zero.  Otherwise the rate is
-    0 with a rigorous error bound that decays like d**-max_iter.
+    Runs ``filled_julia_membership`` on the type I point x.  Exact outcomes:
+    a certified escape at step m gives the exact rational multiple
+    d**-m * (-t_m - val(a_d)/(d-1)) of log p, where t_m is the escaping
+    valuation; an integral trap (integral coefficients and point) or an
+    exact orbit repetition gives exactly zero.  Otherwise the rate is 0
+    with a rigorous error bound that decays like d**-max_iter.
+
+    ``p`` is a prime or a ``Place``; only its residue prime is used, since
+    with val(p) = 1 the rate of a rational point does not depend on the
+    ramification index.
     """
     d = _validate_map(phi)
-    if not (isinstance(p, int) and p >= 2 and is_prime(p)):
-        raise PreconditionError(f"place requires a prime, got {p!r}")
+    zeta = DiscPoint(x, INF, p)  # checks the place
+    p = zeta.p
     if not isinstance(max_iter, int) or max_iter < 1:
         raise PreconditionError(f"max_iter must be a positive integer, got {max_iter!r}")
-    xf = as_fraction(x)
-    v_c = escape_threshold(phi, p)
-    vad = val(phi.leading_coefficient, p)
-    coeff_vals = [val(c, p) for c in phi.coefficients if c != 0]
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
-    if all(v >= 0 for v in coeff_vals) and val(xf, p) >= 0:
+    if zeta.center.denominator % p and all(c.denominator % p for c in phi.coefficients):
         return _exact_zero()
 
-    # Precision window: identical provisioning to the membership solver.
-    neg = max(0, math.ceil(-min(coeff_vals)))
-    negvc = max(0, math.ceil(-v_c))
-    loss_per_step = neg + (d - 1) * negvc
-    trust = 64 + 2 * (1 + math.ceil(abs(v_c)))
-    window = trust + (max_iter + 1) * loss_per_step
-
-    x_red = reduce_mod_prime_power(xf, p, window)
-    exact_x: Fraction | None = xf
-    seen: set[Fraction] = set()
-    for m in range(max_iter + 1):
-        t = val(x_red, p)
-        if is_finite(t) and t < trust and t < v_c:
-            q = Fraction(1, d**m) * (-t - vad / Fraction(d - 1))
-            return LocalContribution(float(q) * math.log(p), 0.0, q, m)
-        if exact_x is not None:
-            if exact_x in seen:
-                return _exact_zero()
-            seen.add(exact_x)
-        if m == max_iter:
-            break
-        if exact_x is not None:
-            exact_x = phi(exact_x)
-            bits = exact_x.numerator.bit_length() + exact_x.denominator.bit_length()
-            if bits > 1 << 14:
-                exact_x = None
-        x_red = reduce_mod_prime_power(phi(x_red), p, window)
-
+    verdict = filled_julia_membership(phi, zeta, max_iter)
+    if isinstance(verdict, Escaped):
+        vad = val(phi.leading_coefficient, p)
+        q = Fraction(1, d**verdict.step) * (-verdict.valuation - vad / Fraction(d - 1))
+        return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
+    if isinstance(verdict, BoundedCertified):
+        return _exact_zero()
     return LocalContribution(0.0, _tail_bound_p(phi, p, max_iter), None, None)
 
 
@@ -253,6 +238,11 @@ def archimedean_escape_rate(
     xf = as_fraction(x)
     coeffs = phi.coefficients
     ad = abs(coeffs[-1])
+    if float(ad) == 0.0:
+        raise PreconditionError(
+            "leading coefficient underflows double precision; the escape "
+            "radius would need big-number logarithms"
+        )
     s_low = sum(abs(c) for c in coeffs[:-1])
 
     # Escape radius: beyond R the leading term dominates (u <= 1/2), the
@@ -360,30 +350,6 @@ class PreperiodicityCertificate:
 
     def __bool__(self) -> bool:
         return self.preperiodic
-
-
-def _height_growth_bound(phi: RationalPoly) -> float:
-    """B with: h(z) > B implies h(phi(z)) >= d*h(z) - (d-1)*B > h(z).
-
-    With integer coefficients A_i = W*a_i (W the denominator lcm),
-    S = sum of |A_i| for i < d, and R1 = max(1, 2S/|A_d|):
-      - |z| >= R1 forces |numerator(phi(z))| >= |m|**d / (2 W |A_d|**(d-1)),
-      - |z| < R1 forces denominator(phi(z)) >= |n|**d / |A_d|**d with
-        max(|m|,|n|) <= R1*|n|,
-    giving h(phi(z)) >= d*h(z) - C with
-    C = max(log(2 W |A_d|**(d-1)), d*log(R1*|A_d|)); B = C/(d-1).
-    """
-    d = phi.degree
-    w = math.lcm(*(c.denominator for c in phi.coefficients))
-    ints = [abs(int(c * w)) for c in phi.coefficients]
-    a_d = ints[-1]
-    s_low = sum(ints[:-1])
-    r1 = max(1.0, 2.0 * s_low / a_d)
-    c_low = max(
-        math.log(2 * w) + (d - 1) * math.log(a_d),
-        d * (math.log(r1) + math.log(a_d)),
-    )
-    return c_low / (d - 1)
 
 
 def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertificate:
@@ -524,19 +490,19 @@ class SurveyReport:
 
 
 def survey(
-    phi: RationalPoly, p: int, max_height: float, eps: float = 1e-7
+    phi: RationalPoly, p: Place | int, max_height: float, eps: float = 1e-7
 ) -> SurveyReport:
     """Tabulate canonical heights over all rationals of naive height <= max_height.
 
     Enumerates m/n in lowest terms with max(|m|, n) <= floor(exp(max_height)),
     decides preperiodicity exactly, certifies every canonical height within
     eps, and reports the smallest height among non-preperiodic points.  The
-    place p is recorded for context (heights themselves are global).  The
-    result is finite-sample evidence, never a proof.
+    residue prime of the place p (a prime or a ``Place``) is recorded for
+    context (heights themselves are global).  The result is finite-sample
+    evidence, never a proof.
     """
     _validate_map(phi)
-    if not (isinstance(p, int) and is_prime(p)):
-        raise PreconditionError(f"place requires a prime, got {p!r}")
+    p = as_place(p).p
     if max_height < 0:
         raise PreconditionError("max_height must be nonnegative")
     n_max = math.floor(math.exp(max_height) + 1e-9)

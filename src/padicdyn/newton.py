@@ -47,19 +47,15 @@ class NewtonPolygon:
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [[i, _fraction_str(v)] for i, v in self.vertices],
+            "vertices": [[i, str(v)] for i, v in self.vertices],
             "segments": [
-                {"slope": _fraction_str(s.slope), "length": s.length}
+                {"slope": str(s.slope), "length": s.length}
                 for s in self.segments
             ],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def _fraction_str(q: Fraction) -> str:
-    return str(q)
 
 
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:

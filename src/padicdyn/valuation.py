@@ -121,6 +121,15 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_place(place: Place | int) -> Place:
+    """Coerce a Place or a bare prime to a Place.
+
+    Anything else raises PreconditionError("place requires a prime ...")
+    from ``Place`` itself, the one place check of the package.
+    """
+    return place if isinstance(place, Place) else Place(place)
+
+
 def _int_valuation(n: int, p: int) -> int:
     """Multiplicity of p in the nonzero integer n."""
     v = 0

@@ -326,6 +326,12 @@ class TestFilledJuliaMembership:
             verdict, (Escaped, BoundedCertified)
         )
 
+    def test_huge_coefficients_on_type_i_orbit(self):
+        # the lower coefficients sum past the float range; the exact-orbit
+        # cutoff must still be computed without overflow
+        phi = P(10**400, 0, 1)
+        assert filled_julia_membership(phi, DiscPoint(0, INF, 2), 8) == BoundedUpTo(8)
+
     def test_verdict_serialization(self):
         assert verdict_to_json_dict(Escaped(3)) == {"verdict": "escaped", "step": 3}
         assert verdict_to_json_dict(BoundedCertified(1, 2)) == {

@@ -5,16 +5,25 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import (
+    INF,
+    BoundedUpTo,
+    DiscPoint,
+    Escaped,
     PreconditionError,
     RationalPoly,
     archimedean_escape_rate,
     canonical_height,
+    filled_julia_membership,
     is_preperiodic,
     local_escape_rate,
     survey,
     survey_to_csv,
+    val,
+    verdict_to_json_dict,
     weil_height,
 )
 
@@ -85,8 +94,90 @@ class TestLocalEscapeRate:
         with pytest.raises(PreconditionError):
             local_escape_rate(P(0, 0, 1), F(1, 3), 4)
 
+    def test_huge_coefficients(self):
+        # 1/2 keeps valuation -1 under 2X^2 + 10**400 at p = 2: bounded, never
+        # repeating, and the growth bound must not overflow a float
+        contrib = local_escape_rate(P(10**400, 0, 2), F(1, 2), 2, 8)
+        assert contrib.log_p_multiple is None
+        assert contrib.escaped_at is None
+        assert 0.0 < contrib.error_bound < 1e-2
+
+
+def exact_orbit_rate(phi, x, p, max_iter):
+    """Oracle on the unreduced exact orbit: (escape step, escaping valuation, q).
+
+    q is the exact log_p multiple of g_p(x): d**-m * (-t - val(a_d)/(d-1))
+    when the state at step m has valuation t below the escape threshold,
+    0 when all data are p-integral (integral orbits never escape) or a state
+    repeats, and None when max_iter steps decide neither.
+    """
+    d = phi.degree
+    vals = [val(c, p) for c in phi.coefficients]
+    vad = vals[-1]
+    if all(v >= 0 for v in vals) and val(x, p) >= 0:
+        return None, None, F(0)
+    v_c = min(
+        [-vad / F(d - 1)]
+        + [(v - vad) / F(d - i) for i, v in enumerate(vals[:-1]) if v is not INF]
+    )
+    z, seen = x, set()
+    for m in range(max_iter + 1):
+        t = val(z, p)
+        if t < v_c:
+            return m, t, F(1, d**m) * (-t - vad / F(d - 1))
+        if z in seen:
+            return None, None, F(0)
+        seen.add(z)
+        z = phi(z)
+    return None, None, None
+
+
+_small_fraction = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _maps(draw):
+    d = draw(st.integers(2, 4))
+    lead = draw(_small_fraction.filter(lambda c: c != 0))
+    return RationalPoly([draw(_small_fraction) for _ in range(d)] + [lead])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=_maps(),
+    x=st.builds(F, st.integers(-30, 30), st.integers(1, 30)),
+    p=st.sampled_from([2, 3, 5, 7]),
+    max_iter=st.integers(1, 6),
+    fix_x=st.booleans(),
+)
+def test_local_escape_rate_matches_exact_orbit(phi, x, p, max_iter, fix_x):
+    if fix_x:  # shift the constant term so x is fixed: exact cycles get tested too
+        phi = phi + RationalPoly.constant(x - phi(x))
+    step, t, q = exact_orbit_rate(phi, x, p, max_iter)
+    contrib = local_escape_rate(phi, x, p, max_iter)
+    assert contrib.escaped_at == step
+    assert contrib.log_p_multiple == q
+    assert (contrib.error_bound == 0.0) == (q is not None)
+
+    verdict = filled_julia_membership(phi, DiscPoint(x, INF, p), max_iter)
+    if step is None:
+        assert not isinstance(verdict, Escaped)
+        if q is None:
+            assert verdict == BoundedUpTo(max_iter)
+        return
+    assert verdict == Escaped(step) == Escaped(step, valuation=t)
+    assert verdict.valuation == t
+    assert verdict_to_json_dict(verdict) == {"verdict": "escaped", "step": step}
+
 
 class TestArchimedeanEscapeRate:
+    def test_underflowing_lead_is_a_precondition(self):
+        tiny = P(1, 0, F(1, 10**400))
+        with pytest.raises(PreconditionError, match="underflows double precision"):
+            archimedean_escape_rate(tiny, F(1, 2))
+        with pytest.raises(PreconditionError, match="underflows double precision"):
+            canonical_height(tiny, F(1, 2), 1e-11)
+
     def test_square_at_two(self):
         value, err = archimedean_escape_rate(P(0, 0, 1), F(2))
         assert abs(value - math.log(2)) <= err <= 1e-9
@@ -227,6 +318,11 @@ class TestIsPreperiodic:
 
     def test_negative_unit_square(self):
         assert is_preperiodic(P(0, 0, 1), F(-1))
+
+    def test_huge_coefficients(self):
+        cert = is_preperiodic(P(10**400, 0, 1), F(0))
+        assert not cert
+        assert cert.escape_step is not None
 
     def test_agrees_with_zero_height_on_survey_range(self):
         rep = survey(P(-1, 0, 1), 2, math.log(3), eps=1e-8)

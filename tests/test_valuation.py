@@ -9,12 +9,21 @@ from hypothesis import strategies as st
 
 from padicdyn import (
     INF,
+    DiscPoint,
     Place,
     PreconditionError,
+    RationalPoly,
     as_fraction,
+    check_criterion,
+    check_criterion_abstract,
+    escape_threshold,
+    good_reduction,
     in_value_group,
     is_finite,
+    local_escape_rate,
+    max_point,
     reduce_mod_prime_power,
+    survey,
     val,
 )
 
@@ -116,6 +125,30 @@ class TestPlace:
     def test_rejects_bad_ramification(self):
         with pytest.raises(PreconditionError):
             Place(5, 0)
+
+
+_PHI = RationalPoly([F(1, 3), 0, 1])  # X^2 + 1/3
+_PLACE_TAKERS = {
+    "DiscPoint": lambda pl: DiscPoint(F(1, 3), 1, pl),
+    "escape_threshold": lambda pl: escape_threshold(_PHI, pl),
+    "max_point": lambda pl: max_point(RationalPoly([0, 0, 1]), 0, pl),
+    "good_reduction": lambda pl: good_reduction(_PHI, pl),
+    "check_criterion": lambda pl: check_criterion(_PHI, pl),
+    "check_criterion_abstract": lambda pl: check_criterion_abstract(
+        [(0, F(-1)), (2, F(0))], 2, pl
+    ),
+    "local_escape_rate": lambda pl: local_escape_rate(_PHI, F(2, 3), pl),
+    "survey": lambda pl: survey(_PHI, pl, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLACE_TAKERS))
+def test_every_place_argument_is_checked_alike(name):
+    take = _PLACE_TAKERS[name]
+    for bad in (0, 1, 4, -3, 2.0, "2"):
+        with pytest.raises(PreconditionError, match="place requires a prime"):
+            take(bad)
+    assert take(3) == take(Place(3))
 
 
 class TestReduceModPrimePower:
