@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .polynomial import RationalPoly
+from .polynomial import RationalPoly, map_degree
 from .valuation import (
     INF,
     PreconditionError,
@@ -177,9 +177,7 @@ def escape_threshold(phi: RationalPoly, place) -> Fraction:
     < val(z), and the valuation decreases to -infinity from there on.
     """
     p = as_place(place).p
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("escape threshold requires degree >= 2")
-    d = phi.degree
+    d = map_degree(phi)
     vad = val(phi.leading_coefficient, p)
     best = -vad / Fraction(d - 1)
     for i in range(d):
@@ -298,10 +296,8 @@ def filled_julia_membership(
     """
     if not isinstance(max_iter, int) or max_iter < 1:
         raise PreconditionError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("membership requires degree >= 2")
+    d = map_degree(phi)
     p = zeta.p
-    d = phi.degree
     v_c = escape_threshold(phi, p)
 
     # Precision plan.  Per step, congruence modulo p**k degrades by at most
@@ -484,8 +480,7 @@ def max_point(
     confirmation probes on both sides of the snapped value.
     """
     p = as_place(place).p
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("max_point requires degree >= 2")
+    d = map_degree(phi)
     af = as_fraction(a)
     base = filled_julia_membership(phi, DiscPoint(af, INF, p), max_iter)
     if not isinstance(base, BoundedCertified):
@@ -501,7 +496,6 @@ def max_point(
         probes += 1
         return filled_julia_membership(phi, DiscPoint(af, rho, p), max_iter)
 
-    d = phi.degree
     rho_floor = -val(phi.leading_coefficient, p) / Fraction(d - 1)
     first = probe(rho_floor)
     if isinstance(first, BoundedCertified):
@@ -560,8 +554,7 @@ def good_reduction(phi: RationalPoly, place) -> bool:
     same degree and the resultant of the homogenized pair is a unit.
     """
     p = as_place(place).p
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("good reduction test requires degree >= 2")
+    map_degree(phi)
     if val(phi.leading_coefficient, p) != 0:
         return False
     return all(val(c, p) >= 0 for c in phi.coefficients)

@@ -25,10 +25,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .newton import NewtonPolygon, newton_polygon, polygon_from_json_dict
-from .polynomial import RationalPoly
+from .polynomial import RationalPoly, map_degree
 from .valuation import (
     Place,
     PreconditionError,
@@ -148,14 +148,12 @@ def check_criterion(phi: RationalPoly, place) -> BogomolovCertificate:
     have a nonzero constant term for its polygon to start at index 0).
     """
     pl = as_place(place)
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("criterion requires degree >= 2")
+    d = map_degree(phi)
     if phi(0) == 0:
         raise PreconditionError(
             "constant term vanishes; Newton polygon hypothesis violated"
         )
     psi = phi - RationalPoly.identity()
-    d = phi.degree
     points = [(i, val(psi.coefficient(i), pl.p)) for i in range(d + 1)]
     polygon = newton_polygon(points)
     lead = val(phi.leading_coefficient, pl.p)

@@ -48,8 +48,12 @@ def log_pottmeyer(e: int, c: float = 1.0) -> float:
 
 
 def pottmeyer_bound(e: int, c: float = 1.0) -> float:
+    return _exp_or_inf(log_pottmeyer(e, c))
+
+
+def _exp_or_inf(logv: float) -> float:
     try:
-        return math.exp(log_pottmeyer(e, c))
+        return math.exp(logv)
     except OverflowError:
         return math.inf
 
@@ -83,17 +87,10 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
         if lcm_val > three_pow:
             raise RuntimeError(f"lcm(1..{e}) exceeds 3**{e}: exact invariant broken")
         log_lcm = math.log(lcm_val)
-        new_bound = _exp_or_zero(math.log(c) - 2 * log_lcm)
-        nine_exp = _exp_or_zero(math.log(c) - e * math.log(9))
+        new_bound = _exp_or_inf(math.log(c) - 2 * log_lcm)
+        nine_exp = _exp_or_inf(math.log(c) - e * math.log(9))
         rows.append(BoundRow(e, lcm_val, pottmeyer_bound(e, c), new_bound, nine_exp))
     return rows
-
-
-def _exp_or_zero(logv: float) -> float:
-    try:
-        return math.exp(logv)
-    except OverflowError:
-        return math.inf
 
 
 def find_crossover(e_max: int, c: float = 1.0) -> int | None:

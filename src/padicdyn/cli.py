@@ -7,7 +7,8 @@ Grammar (whitespace insignificant):
     var   := 'X' ('^' nat)?
     coeff := nat ('/' nat)?
 
-Repeated powers are summed.  Syntax errors carry the character position.
+Repeated powers are summed, and an exponent may not exceed
+``polynomial.DEFAULT_DEGREE_CAP``.  Syntax errors carry the character position.
 
 Subcommands write their data (JSON or CSV) to stdout and diagnostics to
 stderr.  Exit codes: 0 success (and a strong verdict for `bogomolov`),
@@ -33,7 +34,7 @@ from .bogomolov import check_criterion
 from .bounds import bound_table, bounds_to_csv, find_crossover
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
-from .polynomial import RationalPoly
+from .polynomial import DEFAULT_DEGREE_CAP, RationalPoly
 from .valuation import INF, Place, PreconditionError, is_finite, val
 
 EXIT_OK = 0
@@ -94,13 +95,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_int(self, what: str) -> int:
+    def expect_int(self, what: str) -> tuple[int, int]:
+        """The next token as an integer, with its position."""
         tok = self.peek()
         if tok is None or tok[0] != "int":
             where = tok[2] if tok else len(self.text)
             raise PolynomialSyntaxError(f"expected {what}", where)
         self.take()
-        return int(tok[1])
+        return int(tok[1]), tok[2]
 
     def parse(self) -> dict[int, Fraction]:
         powers: dict[int, Fraction] = {}
@@ -130,10 +132,9 @@ class _Parser:
             nxt = self.peek()
             if nxt is not None and nxt[0] == "/":
                 self.take()
-                den_tok_pos = self.peek()[2] if self.peek() else len(self.text)
-                den = self.expect_int("a positive denominator")
+                den, where = self.expect_int("a positive denominator")
                 if den == 0:
-                    raise PolynomialSyntaxError("zero denominator", den_tok_pos)
+                    raise PolynomialSyntaxError("zero denominator", where)
             coeff = Fraction(num, den)
             have_coeff = True
             nxt = self.peek()
@@ -150,7 +151,11 @@ class _Parser:
             nxt = self.peek()
             if nxt is not None and nxt[0] == "^":
                 self.take()
-                power = self.expect_int("a nonnegative integer exponent")
+                power, where = self.expect_int("a nonnegative integer exponent")
+                if power > DEFAULT_DEGREE_CAP:
+                    raise PolynomialSyntaxError(
+                        f"exponent exceeds the degree cap {DEFAULT_DEGREE_CAP}", where
+                    )
             powers[power] = powers.get(power, Fraction(0)) + sign * coeff
         elif have_coeff:
             powers[0] = powers.get(0, Fraction(0)) + sign * coeff
@@ -178,6 +183,86 @@ def _parse_rho(text: str):
     return _parse_rational(text)
 
 
+def _disc_point(args: argparse.Namespace) -> DiscPoint:
+    return DiscPoint(_parse_rational(args.center), _parse_rho(args.rho), args.prime)
+
+
+def _cmd_np(args: argparse.Namespace) -> int:
+    poly = parse_polynomial(args.poly)
+    p = Place(args.prime).p
+    polygon = newton_polygon((i, val(c, p)) for i, c in enumerate(poly.coefficients))
+    print(json.dumps(polygon.to_json_dict()))
+    return EXIT_OK
+
+
+def _cmd_bogomolov(args: argparse.Namespace) -> int:
+    cert = check_criterion(parse_polynomial(args.poly), Place(args.prime, args.ram))
+    print(cert.to_json())
+    return EXIT_OK if cert.is_strong else EXIT_INCONCLUSIVE
+
+
+def _cmd_disc_eval(args: argparse.Namespace) -> int:
+    poly = parse_polynomial(args.poly)
+    zeta = _disc_point(args)
+    v = seminorm(zeta, poly)
+    out = {
+        "point": zeta.to_json_dict(),
+        "valuation": "inf" if not is_finite(v) else str(v),
+        "absolute_value": 0.0 if not is_finite(v) else float(args.prime) ** float(-v),
+    }
+    print(json.dumps(out))
+    return EXIT_OK
+
+
+def _cmd_member(args: argparse.Namespace) -> int:
+    poly = parse_polynomial(args.poly)
+    verdict = filled_julia_membership(poly, _disc_point(args), args.max_iter)
+    print(json.dumps(verdict_to_json_dict(verdict)))
+    return EXIT_OK
+
+
+def _cmd_mphi(args: argparse.Namespace) -> int:
+    res = max_point(parse_polynomial(args.poly), _parse_rational(args.fixed), args.prime)
+    print(json.dumps(res.to_json_dict()))
+    return EXIT_OK
+
+
+def _cmd_height(args: argparse.Namespace) -> int:
+    res = canonical_height(parse_polynomial(args.poly), _parse_rational(args.x), args.eps)
+    print(json.dumps(res.to_json_dict()))
+    return EXIT_OK
+
+
+def _cmd_survey(args: argparse.Namespace) -> int:
+    poly = parse_polynomial(args.poly)
+    report = survey(poly, args.prime, args.max_height, args.eps)
+    sys.stdout.write(survey_to_csv(report))
+    print(f"note: {report.disclaimer}", file=sys.stderr)
+    if report.min_positive is not None:
+        rec = report.min_positive
+        print(
+            f"smallest nonzero canonical height: {rec.height!r} "
+            f"(± {rec.error_bound!r}) at x = {rec.x}",
+            file=sys.stderr,
+        )
+    return EXIT_OK
+
+
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    rows = bound_table(args.max_e, args.constant)
+    sys.stdout.write(bounds_to_csv(rows))
+    cross = find_crossover(args.max_e, args.constant)
+    print(
+        f"no crossover up to e = {args.max_e}: the lcm-based bound never "
+        "overtakes the factorial-type bound in this range"
+        if cross is None
+        else f"crossover at e = {cross}: the lcm-based bound overtakes the "
+        "factorial-type bound from there on",
+        file=sys.stderr,
+    )
+    return EXIT_OK
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicdyn",
@@ -185,156 +270,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    np_p = sub.add_parser("np", help="Newton polygon of a polynomial's coefficients")
-    np_p.add_argument("poly")
-    np_p.add_argument("--prime", type=int, required=True)
+    def add(name, handler, help, *, disc=False, prime=True):
+        """A subcommand on a polynomial, run by ``handler``, with its shared options."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("poly")
+        if disc:
+            cmd.add_argument("--center", required=True)
+            cmd.add_argument(
+                "--rho", required=True, help="rational, or 'inf' for a classical point"
+            )
+        if prime:
+            cmd.add_argument("--prime", type=int, required=True)
+        return cmd
 
-    bog = sub.add_parser("bogomolov", help="height-gap slope test on phi(X) - X")
-    bog.add_argument("poly")
-    bog.add_argument("--prime", type=int, required=True)
+    add("np", _cmd_np, "Newton polygon of a polynomial's coefficients")
+    bog = add("bogomolov", _cmd_bogomolov, "height-gap slope test on phi(X) - X")
     bog.add_argument("--ram", type=int, default=1, help="ramification index e")
-
-    de = sub.add_parser("disc-eval", help="seminorm of a polynomial at a disc point")
-    de.add_argument("poly")
-    de.add_argument("--center", required=True)
-    de.add_argument("--rho", required=True, help="rational, or 'inf' for a classical point")
-    de.add_argument("--prime", type=int, required=True)
-
-    mem = sub.add_parser("member", help="filled-Julia membership of a disc point")
-    mem.add_argument("poly")
-    mem.add_argument("--center", required=True)
-    mem.add_argument("--rho", required=True)
-    mem.add_argument("--prime", type=int, required=True)
+    add("disc-eval", _cmd_disc_eval, "seminorm of a polynomial at a disc point", disc=True)
+    mem = add("member", _cmd_member, "filled-Julia membership of a disc point", disc=True)
     mem.add_argument("--max-iter", type=int, default=256)
-
-    mp = sub.add_parser("mphi", help="largest bounded disc about a preperiodic point")
-    mp.add_argument("poly")
+    mp = add("mphi", _cmd_mphi, "largest bounded disc about a preperiodic point")
     mp.add_argument("--fixed", required=True, help="preperiodic rational center")
-    mp.add_argument("--prime", type=int, required=True)
-
-    hgt = sub.add_parser("height", help="canonical height with local breakdown")
-    hgt.add_argument("poly")
+    hgt = add("height", _cmd_height, "canonical height with local breakdown", prime=False)
     hgt.add_argument("x")
     hgt.add_argument("--eps", type=float, default=1e-8)
-
-    sur = sub.add_parser("survey", help="canonical heights over all small rationals")
-    sur.add_argument("poly")
-    sur.add_argument("--prime", type=int, required=True)
+    sur = add("survey", _cmd_survey, "canonical heights over all small rationals")
     sur.add_argument("--max-height", type=float, required=True)
     sur.add_argument("--eps", type=float, default=1e-7)
-
     bnd = sub.add_parser("bounds", help="height-gap bound comparison table")
+    bnd.set_defaults(handler=_cmd_bounds)
     bnd.add_argument("--max-e", type=int, required=True)
     bnd.add_argument("--constant", type=float, default=1.0)
-
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
-
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _dispatch(args)
-    except PolynomialSyntaxError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "np":
-        poly = parse_polynomial(args.poly)
-        place = Place(args.prime)
-        if poly.is_zero:
-            raise PreconditionError("degenerate polygon")
-        points = [(i, val(poly.coefficient(i), place.p)) for i in range(poly.degree + 1)]
-        polygon = newton_polygon(points)
-        print(json.dumps(polygon.to_json_dict()))
-        return EXIT_OK
-
-    if args.command == "bogomolov":
-        poly = parse_polynomial(args.poly)
-        cert = check_criterion(poly, Place(args.prime, args.ram))
-        print(cert.to_json())
-        return EXIT_OK if cert.is_strong else EXIT_INCONCLUSIVE
-
-    if args.command == "disc-eval":
-        poly = parse_polynomial(args.poly)
-        zeta = DiscPoint(_parse_rational(args.center), _parse_rho(args.rho), args.prime)
-        v = seminorm(zeta, poly)
-        out = {
-            "point": zeta.to_json_dict(),
-            "valuation": "inf" if not is_finite(v) else str(v),
-            "absolute_value": 0.0 if not is_finite(v) else float(args.prime) ** float(-v),
-        }
-        print(json.dumps(out))
-        return EXIT_OK
-
-    if args.command == "member":
-        poly = parse_polynomial(args.poly)
-        zeta = DiscPoint(_parse_rational(args.center), _parse_rho(args.rho), args.prime)
-        verdict = filled_julia_membership(poly, zeta, args.max_iter)
-        print(json.dumps(verdict_to_json_dict(verdict)))
-        return EXIT_OK
-
-    if args.command == "mphi":
-        poly = parse_polynomial(args.poly)
-        result = max_point(poly, _parse_rational(args.fixed), args.prime)
-        print(json.dumps(result.to_json_dict()))
-        return EXIT_OK
-
-    if args.command == "height":
-        poly = parse_polynomial(args.poly)
-        res = canonical_height(poly, _parse_rational(args.x), args.eps)
-        print(json.dumps(res.to_json_dict()))
-        return EXIT_OK
-
-    if args.command == "survey":
-        poly = parse_polynomial(args.poly)
-        report = survey(poly, args.prime, args.max_height, args.eps)
-        sys.stdout.write(survey_to_csv(report))
-        print(f"note: {report.disclaimer}", file=sys.stderr)
-        if report.min_positive is not None:
-            rec = report.min_positive
-            print(
-                f"smallest nonzero canonical height: {rec.height!r} "
-                f"(± {rec.error_bound!r}) at x = {rec.x}",
-                file=sys.stderr,
-            )
-        return EXIT_OK
-
-    if args.command == "bounds":
-        rows = bound_table(args.max_e, args.constant)
-        sys.stdout.write(bounds_to_csv(rows))
-        cross = find_crossover(args.max_e, args.constant)
-        if cross is None:
-            print(
-                f"no crossover up to e = {args.max_e}: the lcm-based bound never "
-                "overtakes the factorial-type bound in this range",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"crossover at e = {cross}: the lcm-based bound overtakes the "
-                "factorial-type bound from there on",
-                file=sys.stderr,
-            )
-        return EXIT_OK
-
-    raise PreconditionError(f"unknown command {args.command!r}")
+        return args.handler(args)
+    except (PolynomialSyntaxError, PreconditionError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, PolynomialSyntaxError) else EXIT_PRECONDITION
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -43,7 +43,7 @@ from .berkovich import (
     filled_julia_membership,
     weil_height,
 )
-from .polynomial import RationalPoly
+from .polynomial import RationalPoly, map_degree
 from .primes import factorize
 from .valuation import (
     INF,
@@ -97,12 +97,6 @@ def _exact_zero() -> LocalContribution:
     return LocalContribution(0.0, 0.0, Fraction(0), None)
 
 
-def _validate_map(phi: RationalPoly) -> int:
-    if phi.is_zero or phi.degree < 2:
-        raise PreconditionError("dynamics requires a polynomial of degree >= 2")
-    return phi.degree
-
-
 def local_escape_rate(
     phi: RationalPoly, x: RationalLike, p: Place | int, max_iter: int = 64
 ) -> LocalContribution:
@@ -119,7 +113,7 @@ def local_escape_rate(
     with val(p) = 1 the rate of a rational point does not depend on the
     ramification index.
     """
-    d = _validate_map(phi)
+    d = map_degree(phi)
     zeta = DiscPoint(x, INF, p)  # checks the place
     p = zeta.p
     if not isinstance(max_iter, int) or max_iter < 1:
@@ -229,11 +223,12 @@ def archimedean_escape_rate(
     pinned by a short tail estimate.  Precision escalates automatically
     until the certificate succeeds.
     """
-    d = _validate_map(phi)
-    if error_budget < EPS_FLOOR / 4:
+    d = map_degree(phi)
+    if not EPS_FLOOR / 4 <= error_budget < math.inf:
         raise PreconditionError(
-            f"tolerance {error_budget:g} is below the double-precision floor; "
-            "interval arithmetic mode with higher-precision logarithms is required"
+            f"tolerance {error_budget:g} must be finite and at least the "
+            "double-precision floor; below it, interval arithmetic with "
+            "higher-precision logarithms is required"
         )
     xf = as_fraction(x)
     coeffs = phi.coefficients
@@ -359,7 +354,7 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
     height exceeding the growth bound proves the heights increase strictly
     from then on, so the orbit can never repeat.
     """
-    _validate_map(phi)
+    map_degree(phi)
     z = as_fraction(x)
     bound = _height_growth_bound(phi)
     seen: dict[Fraction, int] = {}
@@ -421,9 +416,9 @@ def canonical_height(
     finite places usually resolve exactly, and the total error bound never
     exceeds eps.
     """
-    d = _validate_map(phi)
-    if not (eps > 0):
-        raise PreconditionError("eps must be positive")
+    d = map_degree(phi)
+    if not 0 < eps < math.inf:
+        raise PreconditionError("eps must be positive and finite")
     if eps < EPS_FLOOR:
         raise PreconditionError(
             f"tolerance {eps:g} is below the double-precision floor ({EPS_FLOOR:g}); "
@@ -501,10 +496,10 @@ def survey(
     context (heights themselves are global).  The result is finite-sample
     evidence, never a proof.
     """
-    _validate_map(phi)
+    map_degree(phi)
     p = as_place(p).p
-    if max_height < 0:
-        raise PreconditionError("max_height must be nonnegative")
+    if not 0 <= max_height < math.inf:
+        raise PreconditionError("max_height must be nonnegative and finite")
     n_max = math.floor(math.exp(max_height) + 1e-9)
     records: list[SurveyRecord] = []
     preperiodic_points: list[Fraction] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .primes import divisors
 from .valuation import PreconditionError, RationalLike, as_fraction
@@ -231,6 +231,13 @@ class RationalPoly:
         elif len(coeffs) == 1:
             pass  # nonzero constant: no further roots
         return sorted(roots)
+
+
+def map_degree(phi: RationalPoly) -> int:
+    """Degree d of phi as a dynamical map; every dynamics entry point needs d >= 2."""
+    if phi.is_zero or phi.degree < 2:
+        raise PreconditionError("dynamics requires a polynomial of degree >= 2")
+    return phi.degree
 
 
 def format_polynomial(poly: RationalPoly) -> str:

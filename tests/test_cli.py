@@ -1,9 +1,15 @@
 """Expression parsing and the command-line surface: exit codes, JSON, CSV."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import padicdyn
 
 from padicdyn import (
     PolynomialSyntaxError,
@@ -14,6 +20,7 @@ from padicdyn import (
 )
 from padicdyn.bogomolov import certificate_from_json_dict
 from padicdyn.newton import polygon_from_json_dict
+from padicdyn.polynomial import DEFAULT_DEGREE_CAP
 
 
 class TestParsePolynomial:
@@ -67,6 +74,14 @@ class TestParsePolynomial:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("X^2 3")  # juxtaposition is not multiplication
 
+    def test_exponent_above_degree_cap_rejected(self, capsys):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(f"X + X^{DEFAULT_DEGREE_CAP + 1}")
+        assert err.value.position == 6
+        assert str(DEFAULT_DEGREE_CAP) in str(err.value)
+        assert run(["np", f"X^{DEFAULT_DEGREE_CAP + 1}", "--prime", "2"]) == 2
+        assert "position 2" in capsys.readouterr().err
+
     def test_round_trip_on_canonical_forms(self):
         import random
 
@@ -110,6 +125,39 @@ class TestExitCodes:
         code = run(["np", "X+1", "--prime", "6"])
         assert code == 3
         assert "prime" in capsys.readouterr().err
+
+    def test_np_of_constant_is_a_degenerate_polygon(self, capsys):
+        for text in ("0", "5"):
+            assert run(["np", text, "--prime", "2"]) == 3
+            assert "degenerate polygon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["survey", "X^2", "--prime", "2", "--max-height", "nan"],
+            ["survey", "X^2", "--prime", "2", "--max-height", "inf"],
+            ["height", "X^2", "2", "--eps", "inf"],
+            ["height", "X^2", "2", "--eps", "nan"],
+        ],
+    )
+    def test_non_finite_float_option_exits_three(self, argv, capsys):
+        assert run(argv) == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bogomolov", "X^2+3", "--prime", "5"], 10),
+            (["bogomolov", "X^2+3", "--prime", "6"], 3),
+        ],
+    )
+    def test_module_entry_point(self, argv, code):
+        src = str(Path(padicdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-W", "error", "-m", "padicdyn", *argv]
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert "Warning" not in done.stderr
 
     def test_determinism(self, capsys):
         first = run(["bogomolov", "X^5+X^2+X+1/2", "--prime", "2"])
@@ -191,3 +239,91 @@ class TestSubcommandOutput:
         assert lines[0] == "e,lcm_e,pottmeyer,new_bound,nine_exp"
         assert len(lines) == 9
         assert "crossover at e = 6" in captured.err
+
+
+# Exact stdout of the README's examples, one per subcommand (both `bogomolov`
+# exit codes); `survey` is pinned by its header and first three rows.
+_GOLDEN = [
+    (
+        ["np", "X^5+X^2+X+1/2", "--prime", "2"],
+        0,
+        '{"vertices": [[0, "-1"], [5, "0"]], '
+        '"segments": [{"slope": "1/5", "length": 5}]}\n',
+    ),
+    (
+        ["bogomolov", "X^5+X^2+X+1/2", "--prime", "2"],
+        0,
+        '{"verdict": "strong_bogomolov", "p": 2, "e": 1, "witness": {"slope": "1/5", '
+        '"segment": [[0, "-1"], [5, "0"]], "zeta_of_X_valuation": "-1/5"}, '
+        '"polygon": {"vertices": [[0, "-1"], [5, "0"]], '
+        '"segments": [{"slope": "1/5", "length": 5}]}, "abstract": false}\n',
+    ),
+    (
+        ["bogomolov", "X^2+3", "--prime", "5"],
+        10,
+        '{"verdict": "inconclusive", "p": 5, "e": 1, "witness": null, '
+        '"polygon": {"vertices": [[0, "0"], [2, "0"]], '
+        '"segments": [{"slope": "0", "length": 2}]}, "abstract": false}\n',
+    ),
+    (
+        ["disc-eval", "X^2+2*X+4", "--center", "0", "--rho", "0", "--prime", "2"],
+        0,
+        '{"point": {"center": "0", "rho": "0", "p": 2}, '
+        '"valuation": "0", "absolute_value": 1.0}\n',
+    ),
+    (
+        ["member", "X^2+1/2", "--center", "0", "--rho", "0", "--prime", "2"],
+        0,
+        '{"verdict": "escaped", "step": 1}\n',
+    ),
+    (
+        ["mphi", "X^2", "--fixed", "0", "--prime", "3"],
+        0,
+        '{"rho_lower": "0", "rho_upper": "0", "snapped": "0", '
+        '"exact": true, "probes": 1}\n',
+    ),
+    (
+        ["height", "X^2", "2", "--eps", "1e-9"],
+        0,
+        '{"value": 0.6931471805599453, "error_bound": 7.771561172376096e-15, '
+        '"preperiodic": false, "local_parts": {"inf": {"value": 0.6931471805599453, '
+        '"error_bound": 7.771561172376096e-15, "log_p_multiple": null, '
+        '"escaped_at": 2}}}\n',
+    ),
+    (
+        ["survey", "X^2", "--prime", "2", "--max-height", "1.1"],
+        0,
+        "x,num,den,canonical_height,error_bound,preperiodic\n"
+        "-3,-3,1,1.0986122886681098,8.43769498715119e-15,false\n"
+        "-2,-2,1,0.6931471805599453,7.771561172376096e-15,false\n"
+        "-1,-1,1,0.0,0.0,true\n",
+    ),
+    (
+        ["bounds", "--max-e", "12"],
+        0,
+        "e,lcm_e,pottmeyer,new_bound,nine_exp\n"
+        "1,1,7.38905609893065,1.0,0.11111111111111109\n"
+        "2,2,1.7061921885357574,0.25,0.012345679012345675\n"
+        "3,6,0.184466755140711,0.02777777777777778,0.0013717421124828531\n"
+        "4,12,0.011371452282111087,0.006944444444444444,0.00015241579027587248\n"
+        "5,60,0.0004511020194776421,0.00027777777777777794,1.6935087808430265e-05\n"
+        "6,60,1.2461419831107067e-05,0.00027777777777777794,1.8816764231589204e-06\n"
+        "7,420,2.533098900659035e-07,5.668934240362813e-06,2.090751581287688e-07\n"
+        "8,840,3.946225799692687e-09,1.417233560090703e-06,2.323057312541874e-08\n"
+        "9,2520,4.8606348334395775e-11,1.5747039556563356e-07,2.5811747917131962e-09\n"
+        "10,2520,4.851651954097877e-13,1.5747039556563356e-07,2.8679719907924336e-10\n"
+        "11,27720,4.003564625089091e-15,1.301408227815153e-09,3.18663554532493e-11\n"
+        "12,27720,2.776747659571926e-17,1.301408227815153e-09,3.5407061614721485e-12\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", _GOLDEN, ids=[" ".join(case[0][:2]) for case in _GOLDEN]
+)
+def test_readme_examples_stdout_is_byte_identical(argv, code, stdout, capsys):
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    if argv[0] == "survey":
+        out = "".join(out.splitlines(keepends=True)[:4])
+    assert out == stdout

@@ -202,6 +202,9 @@ class TestArchimedeanEscapeRate:
         with pytest.raises(PreconditionError) as e:
             archimedean_escape_rate(P(0, 0, 1), F(2), 1e-14)
         assert "interval" in str(e.value)
+        for budget in (math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="finite"):
+                archimedean_escape_rate(P(0, 0, 1), F(2), budget)
 
 
 class TestCanonicalHeight:
@@ -272,6 +275,9 @@ class TestCanonicalHeight:
         with pytest.raises(PreconditionError) as e:
             canonical_height(P(0, 0, 1), F(2), 1e-13)
         assert "interval" in str(e.value)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="finite"):
+                canonical_height(P(0, 0, 1), F(2), eps)
 
     def test_degree_guard(self):
         with pytest.raises(PreconditionError):
@@ -366,3 +372,6 @@ class TestSurvey:
     def test_rejects_negative_window(self):
         with pytest.raises(PreconditionError):
             survey(P(0, 0, 1), 2, -0.5)
+        for window in (math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="finite"):
+                survey(P(0, 0, 1), 2, window)

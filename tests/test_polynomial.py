@@ -7,7 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn import PreconditionError, RationalPoly, format_polynomial
+from padicdyn import (
+    DiscPoint,
+    PreconditionError,
+    RationalPoly,
+    archimedean_escape_rate,
+    canonical_height,
+    check_criterion,
+    escape_threshold,
+    filled_julia_membership,
+    format_polynomial,
+    good_reduction,
+    is_preperiodic,
+    local_escape_rate,
+    max_point,
+    survey,
+)
+from padicdyn.polynomial import map_degree
 
 
 def P(*ascending):
@@ -22,6 +38,7 @@ class TestRingBasics:
         q = P(F(1, 2), 1, 1, 0, 0, 1)
         assert q.degree == 5
         assert q.leading_coefficient == 1
+        assert map_degree(q) == 5
 
     def test_zero_polynomial_has_no_degree(self):
         assert P().is_zero
@@ -179,3 +196,27 @@ class TestFormat:
 
     def test_identity(self):
         assert format_polynomial(P(0, 1)) == "X"
+
+
+_MAP_TAKERS = {
+    "escape_threshold": lambda phi: escape_threshold(phi, 2),
+    "filled_julia_membership": lambda phi: filled_julia_membership(
+        phi, DiscPoint(0, 0, 2)
+    ),
+    "max_point": lambda phi: max_point(phi, 0, 2),
+    "good_reduction": lambda phi: good_reduction(phi, 2),
+    "check_criterion": lambda phi: check_criterion(phi, 2),
+    "local_escape_rate": lambda phi: local_escape_rate(phi, F(1, 2), 2),
+    "archimedean_escape_rate": lambda phi: archimedean_escape_rate(phi, F(1, 2)),
+    "is_preperiodic": lambda phi: is_preperiodic(phi, F(1, 2)),
+    "canonical_height": lambda phi: canonical_height(phi, F(1, 2)),
+    "survey": lambda phi: survey(phi, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("low", [P(), P(3), P(1, 1)], ids=["zero", "constant", "X+1"])
+@pytest.mark.parametrize("name", sorted(_MAP_TAKERS))
+def test_every_map_argument_is_checked_alike(name, low):
+    with pytest.raises(PreconditionError) as err:
+        _MAP_TAKERS[name](low)
+    assert str(err.value) == "dynamics requires a polynomial of degree >= 2"
