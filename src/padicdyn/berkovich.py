@@ -319,11 +319,9 @@ def filled_julia_membership(
     exact_center: Fraction | None = zeta.center if zeta.is_type_i else None
     certifiable = True
     seen: dict[tuple, int] = {}
-    verified = 0
     growth_bound: float | None = None  # computed on first use
 
     for m in range(max_iter + 1):
-        verified = m
         # Valuation of the current state; values at or above TRUST are only
         # known to be large, which suffices (TRUST > v_C by construction).
         cv = val(center_red, p)
@@ -383,7 +381,7 @@ def filled_julia_membership(
             rho = rho_new
             center_red = reduce_mod_prime_power(tay[0], p, window)
 
-    return BoundedUpTo(verified)
+    return BoundedUpTo(max_iter)
 
 
 # -- maximal bounded disc about a preperiodic center -------------------------
@@ -416,32 +414,9 @@ class MaxPointResult:
         }
 
 
-def simplest_between(lo: Fraction, hi: Fraction, include_hi: bool = True) -> Fraction:
-    """The smallest-denominator rational in (lo, hi) or (lo, hi].
-
-    Stern-Brocot / continued-fraction descent; among equal denominators the
-    one closest to lo is produced by the descent.
-    """
-    if not lo < hi:
-        raise ValueError("empty interval")
-    cand = _simplest_open(lo, hi)
-    if include_hi and hi.denominator < cand.denominator:
-        return hi
-    return cand
-
-
-def _simplest_closed(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in [lo, hi] (ties resolved toward lo)."""
-    if lo == hi:
-        return lo
-    best = simplest_between(lo, hi, include_hi=True)
-    if lo.denominator <= best.denominator:
-        return lo
-    return best
-
-
 def _simplest_open(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational strictly between lo and hi."""
+    """Smallest-denominator rational strictly between lo and hi, by
+    continued-fraction descent (of equal denominators, the one nearest lo)."""
     floor_lo = lo.numerator // lo.denominator
     if lo < floor_lo + 1 < hi:
         return Fraction(floor_lo + 1)
@@ -458,31 +433,32 @@ def _simplest_open(lo: Fraction, hi: Fraction) -> Fraction:
     return floor_lo + 1 / _simplest_open(1 / shifted_hi, 1 / shifted_lo)
 
 
-def max_point(
-    phi: RationalPoly,
-    a: RationalLike,
-    place,
-    tolerance: Fraction = Fraction(1, 2**20),
-    max_iter: int = 256,
-    max_probes: int = 200,
-) -> MaxPointResult:
+MAX_POINT_TOLERANCE = Fraction(1, 2**20)
+MAX_POINT_ITER = 256
+MAX_POINT_PROBES = 200
+
+
+def max_point(phi: RationalPoly, a: RationalLike, place) -> MaxPointResult:
     """Locate rho* = the smallest rho with D(a, p**-rho) in the filled Julia set.
 
-    Requires the orbit of the type I point ``a`` itself to be certified
-    bounded (a preperiodic center); otherwise no disc about a is bounded
-    and a PreconditionError is raised.
+    Requires ``a`` to be preperiodic (its type I orbit certified bounded);
+    otherwise no disc about a is bounded and PreconditionError is raised.
 
-    The bounded-region radius bound forces rho* >= -val(a_d)/(d-1), so that
-    value is probed first, and when it is already bounded it IS rho*
-    exactly.  Otherwise certified escapes raise the lower end and certified
-    cycles lower the upper end of a bracket, bisected to ``tolerance`` and
-    then snapped to the lowest-denominator rational in the bracket, with
-    confirmation probes on both sides of the snapped value.
+    rho* >= rho_floor = -val(a_d)/(d-1) by the bounded-region radius bound,
+    so rho_floor is probed first and, when bounded, is rho* exactly.  Else
+    certified escapes raise ``lo`` and certified cycles lower ``hi`` of a
+    bracket: probes step up from rho_floor by 1, 2, 4, ... until one is
+    bounded, then bisect to MAX_POINT_TOLERANCE; the bracket's lowest-
+    denominator rational is confirmed by probes on both sides.  Each probe
+    runs MAX_POINT_ITER membership steps.  The search always stops: both
+    phases end at the first inconclusive (BoundedUpTo) probe or after
+    MAX_POINT_PROBES probes, and rho_upper is None when no upward probe was
+    bounded (a repelling center, say).
     """
     p = as_place(place).p
     d = map_degree(phi)
     af = as_fraction(a)
-    base = filled_julia_membership(phi, DiscPoint(af, INF, p), max_iter)
+    base = filled_julia_membership(phi, DiscPoint(af, INF, p), MAX_POINT_ITER)
     if not isinstance(base, BoundedCertified):
         raise PreconditionError(
             "base point is not preperiodic (orbit not certified bounded); "
@@ -494,51 +470,45 @@ def max_point(
     def probe(rho: Fraction) -> MembershipVerdict:
         nonlocal probes
         probes += 1
-        return filled_julia_membership(phi, DiscPoint(af, rho, p), max_iter)
+        return filled_julia_membership(phi, DiscPoint(af, rho, p), MAX_POINT_ITER)
 
     rho_floor = -val(phi.leading_coefficient, p) / Fraction(d - 1)
-    first = probe(rho_floor)
-    if isinstance(first, BoundedCertified):
+    lo = rho_floor  # rho* >= rho_floor always; raised further by escapes
+    lo_escaped = False
+    hi: Fraction | None = None
+
+    def narrow(rho: Fraction) -> bool:
+        """Probe rho and move the bracket end it certifies; False if it certifies none."""
+        nonlocal lo, lo_escaped, hi
+        if probes >= MAX_POINT_PROBES:
+            return False
+        verdict = probe(rho)
+        if isinstance(verdict, Escaped):
+            lo, lo_escaped = rho, True
+        elif isinstance(verdict, BoundedCertified):
+            hi = rho
+        return not isinstance(verdict, BoundedUpTo)
+
+    narrow(rho_floor)
+    if hi is not None:
         return MaxPointResult(rho_floor, rho_floor, rho_floor, True, probes)
 
-    lo = rho_floor  # rho* >= rho_floor always; raised further by escapes
-    lo_escaped = isinstance(first, Escaped)
-    hi: Fraction | None = None
-    step = Fraction(1)
-    cursor = rho_floor
-    while probes < max_probes:
-        cursor = cursor + step
-        step *= 2
-        verdict = probe(cursor)
-        if isinstance(verdict, BoundedCertified):
-            hi = cursor
-            break
-        if isinstance(verdict, Escaped):
-            lo = cursor
-            lo_escaped = True
+    k = 1
+    while hi is None and narrow(rho_floor + 2**k - 1):
+        k += 1
     if hi is None:
         return MaxPointResult(lo, None, None, False, probes)
+    while hi - lo > MAX_POINT_TOLERANCE and narrow((lo + hi) / 2):
+        pass
 
-    while hi - lo > tolerance and probes < max_probes:
-        mid = (lo + hi) / 2
-        verdict = probe(mid)
-        if isinstance(verdict, BoundedCertified):
-            hi = mid
-        elif isinstance(verdict, Escaped):
-            lo = mid
-            lo_escaped = True
-        else:
-            break  # cannot refine rigorously past an inconclusive probe
-
-    # Snap to the lowest-denominator candidate in the bracket: (lo, hi] when
-    # an escape certified the lower end as strict, [lo, hi] otherwise.
-    if lo_escaped:
-        snapped = simplest_between(lo, hi, include_hi=True)
-    else:
-        snapped = _simplest_closed(lo, hi)
-    bounded_at_snap = snapped == hi or isinstance(probe(snapped), BoundedCertified)
-    if bounded_at_snap:
-        delta = min(tolerance, (snapped - lo) / 2) if snapped > lo else tolerance
+    # Snap within (lo, hi] when an escape made lo strict, else within [lo, hi];
+    # min keeps the first of equal denominators, so ties go toward lo.
+    candidates = ([] if lo_escaped else [lo]) + [_simplest_open(lo, hi), hi]
+    snapped = min(candidates, key=lambda q: q.denominator)
+    if snapped == hi or isinstance(probe(snapped), BoundedCertified):
+        delta = MAX_POINT_TOLERANCE
+        if snapped > lo:
+            delta = min(delta, (snapped - lo) / 2)
         below = probe(snapped - delta)
         if isinstance(below, Escaped):
             return MaxPointResult(snapped - delta, snapped, snapped, True, probes)

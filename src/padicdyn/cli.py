@@ -51,8 +51,9 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
+    """(kind, value, position) tokens; an ASCII digit run is one int token."""
+    tokens: list[tuple[str, str | int, int]] = []
     i = 0
     n = len(text)
     while i < n:
@@ -60,11 +61,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # beyond Python's int-conversion digit limit
+                raise PolynomialSyntaxError("integer has too many digits", i) from None
             i = j
             continue
         if ch == "X":
@@ -85,10 +89,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
+    def peek(self) -> tuple[str, str | int, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str, int]:
+    def take(self) -> tuple[str, str | int, int]:
         tok = self.peek()
         if tok is None:
             raise PolynomialSyntaxError("unexpected end of input", len(self.text))
@@ -102,7 +106,7 @@ class _Parser:
             where = tok[2] if tok else len(self.text)
             raise PolynomialSyntaxError(f"expected {what}", where)
         self.take()
-        return int(tok[1]), tok[2]
+        return tok[1], tok[2]
 
     def parse(self) -> dict[int, Fraction]:
         powers: dict[int, Fraction] = {}
@@ -127,7 +131,7 @@ class _Parser:
         have_coeff = False
         if tok[0] == "int":
             self.take()
-            num = int(tok[1])
+            num = tok[1]
             den = 1
             nxt = self.peek()
             if nxt is not None and nxt[0] == "/":

@@ -233,39 +233,47 @@ def archimedean_escape_rate(
     xf = as_fraction(x)
     coeffs = phi.coefficients
     ad = abs(coeffs[-1])
-    if float(ad) == 0.0:
+    # A map or point beyond double range makes a float conversion or power
+    # below raise OverflowError.
+    try:
+        if float(ad) == 0.0:
+            raise PreconditionError(
+                "leading coefficient underflows double precision; the escape "
+                "radius would need big-number logarithms"
+            )
+        s_low = sum(abs(c) for c in coeffs[:-1])
+
+        # Escape radius: beyond R the leading term dominates (u <= 1/2), the
+        # modulus at least doubles each step, and the log recursion is valid.
+        r_candidates = [
+            Fraction(1),
+            (2 * s_low + 2) / ad,
+            _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
+        ]
+        r_esc = max(r_candidates) * Fraction(9, 8)
+        # First-crossing magnitude bound and the tail constant.
+        r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
+        log_ad = math.log(float(ad))
+        kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
+        steps = max(1, math.ceil(math.log(kappa / error_budget) / math.log(d))) + 1
+
+        # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
+        lam = float(sum(i * abs(c) for i, c in enumerate(coeffs))) * float(
+            max(r_esc, 1) ** (d - 1)
+        ) + 2.0
+        prec = 64 + steps * max(1, math.ceil(math.log2(lam + 2)))
+        for _ in range(8):
+            result = _arch_attempt(
+                phi, xf, error_budget, steps, prec, r_esc, kappa, log_ad, s_low, ad
+            )
+            if result is not None:
+                return result
+            prec *= 2
+    except OverflowError as exc:
         raise PreconditionError(
-            "leading coefficient underflows double precision; the escape "
-            "radius would need big-number logarithms"
-        )
-    s_low = sum(abs(c) for c in coeffs[:-1])
-
-    # Escape radius: beyond R the leading term dominates (u <= 1/2), the
-    # modulus at least doubles each step, and the log recursion is valid.
-    r_candidates = [
-        Fraction(1),
-        (2 * s_low + 2) / ad,
-        _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
-    ]
-    r_esc = max(r_candidates) * Fraction(9, 8)
-    # First-crossing magnitude bound and the tail constant.
-    r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
-    log_ad = math.log(float(ad))
-    kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
-    steps = max(1, math.ceil(math.log(kappa / error_budget) / math.log(d))) + 1
-
-    # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
-    lam = float(sum(i * abs(c) for i, c in enumerate(coeffs))) * float(
-        max(r_esc, 1) ** (d - 1)
-    ) + 2.0
-    prec = 64 + steps * max(1, math.ceil(math.log2(lam + 2)))
-    for _ in range(8):
-        result = _arch_attempt(
-            phi, xf, error_budget, steps, prec, r_esc, kappa, log_ad, s_low, ad
-        )
-        if result is not None:
-            return result
-        prec *= 2
+            "the map or the point exceeds double precision range; the escape "
+            "rate would need big-number logarithms"
+        ) from exc
     raise PreconditionError(
         "archimedean certification did not converge; the point straddles the "
         "escape boundary beyond the supported interval precision"
@@ -484,22 +492,32 @@ class SurveyReport:
     disclaimer: str = SURVEY_DISCLAIMER
 
 
+# Largest max(|m|, n) that survey enumerates: about 1.2 million points.
+SURVEY_N_MAX = 10**3
+
+
 def survey(
     phi: RationalPoly, p: Place | int, max_height: float, eps: float = 1e-7
 ) -> SurveyReport:
     """Tabulate canonical heights over all rationals of naive height <= max_height.
 
     Enumerates m/n in lowest terms with max(|m|, n) <= floor(exp(max_height)),
-    decides preperiodicity exactly, certifies every canonical height within
-    eps, and reports the smallest height among non-preperiodic points.  The
-    residue prime of the place p (a prime or a ``Place``) is recorded for
-    context (heights themselves are global).  The result is finite-sample
-    evidence, never a proof.
+    where max_height may not exceed log(SURVEY_N_MAX), decides preperiodicity
+    exactly, certifies every canonical height within eps, and reports the
+    smallest height among non-preperiodic points.  The residue prime of the
+    place p (a prime or a ``Place``) is recorded for context (heights
+    themselves are global).  The result is finite-sample evidence, never a
+    proof.
     """
     map_degree(phi)
     p = as_place(p).p
     if not 0 <= max_height < math.inf:
         raise PreconditionError("max_height must be nonnegative and finite")
+    if max_height > math.log(SURVEY_N_MAX):
+        raise PreconditionError(
+            f"max_height {max_height:g} exceeds log({SURVEY_N_MAX}): survey enumerates "
+            f"numerators and denominators up to the cap SURVEY_N_MAX = {SURVEY_N_MAX}"
+        )
     n_max = math.floor(math.exp(max_height) + 1e-9)
     records: list[SurveyRecord] = []
     preperiodic_points: list[Fraction] = []

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from padicdyn import (
     BoundedUpTo,
     DiscPoint,
     Escaped,
+    MaxPointResult,
     Place,
     PreconditionError,
     RationalPoly,
@@ -378,6 +380,23 @@ class TestMaxPoint:
             # narrower discs sit inside the certified one: never Escaped
             above = filled_julia_membership(phi, DiscPoint(0, result.snapped + dr, p), 64)
             assert not isinstance(above, Escaped)
+
+    def test_bracket_search_is_golden(self):
+        # 0 is fixed with multiplier 2, so rho* = 1: the floor probe at 0
+        # escapes, the step-up probe at 1 is bounded, and the bracket
+        # (0, 1] is bisected, snapped to 1 and confirmed on both sides.
+        result = max_point(P(0, 2, F(1, 2), 1), F(0), 2)
+        assert result == MaxPointResult(F(2097151, 2097152), F(1), F(1), True, 23)
+
+    def test_repelling_center_stops(self):
+        # 3 is fixed under X^2/2 - X/2 with multiplier 5/2, of 2-adic
+        # valuation -1: every disc about 3 escapes, each probe takes longer,
+        # and the step-up phase ends at its first inconclusive probe.
+        start = time.perf_counter()
+        result = max_point(P(0, F(-1, 2), F(1, 2)), F(3), 2)
+        assert time.perf_counter() - start < 5
+        assert result.rho_upper is None and result.snapped is None
+        assert not result.exact
 
     def test_non_preperiodic_center_rejected(self):
         with pytest.raises(PreconditionError):

@@ -82,6 +82,21 @@ class TestParsePolynomial:
         assert run(["np", f"X^{DEFAULT_DEGREE_CAP + 1}", "--prime", "2"]) == 2
         assert "position 2" in capsys.readouterr().err
 
+    def test_non_ascii_digit_rejected(self, capsys):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial("X^\u00b2")
+        assert err.value.position == 2
+        assert run(["np", "X^\u00b2", "--prime", "2"]) == 2
+        assert "position 2" in capsys.readouterr().err
+
+    def test_integer_beyond_conversion_limit_rejected(self, capsys):
+        text = "X^2 + " + "1" * 5001
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == 6
+        assert run(["np", text, "--prime", "2"]) == 2
+        assert "position 6" in capsys.readouterr().err
+
     def test_round_trip_on_canonical_forms(self):
         import random
 
@@ -143,6 +158,18 @@ class TestExitCodes:
     def test_non_finite_float_option_exits_three(self, argv, capsys):
         assert run(argv) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["height", "X^2+1", f"{10**400}/3"], "exceeds double precision range"),
+            (["height", f"{10**400}*X^2+1", "1"], "exceeds double precision range"),
+            (["survey", "X^2", "--prime", "2", "--max-height", "800"], "SURVEY_N_MAX"),
+        ],
+    )
+    def test_out_of_range_input_exits_three(self, argv, message, capsys):
+        assert run(argv) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -209,6 +236,11 @@ class TestSubcommandOutput:
         assert run(["mphi", "X^2", "--fixed", "0", "--prime", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["exact"] is True and data["snapped"] == "0"
+
+    def test_mphi_on_repelling_center_stops(self, capsys):
+        assert run(["mphi", "1/2*X^2 - 1/2*X", "--fixed", "3", "--prime", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rho_upper"] is None and data["exact"] is False
 
     def test_height_breakdown(self, capsys):
         assert run(["height", "X^2", "2"]) == 0

@@ -26,6 +26,7 @@ from padicdyn import (
     verdict_to_json_dict,
     weil_height,
 )
+from padicdyn.heights import SURVEY_N_MAX
 
 
 def P(*ascending):
@@ -177,6 +178,13 @@ class TestArchimedeanEscapeRate:
             archimedean_escape_rate(tiny, F(1, 2))
         with pytest.raises(PreconditionError, match="underflows double precision"):
             canonical_height(tiny, F(1, 2), 1e-11)
+
+    @pytest.mark.parametrize(
+        "phi, x", [(P(1, 0, 1), F(10**400, 3)), (P(1, 0, 10**400), F(1))]
+    )
+    def test_beyond_double_range_is_a_precondition(self, phi, x):
+        with pytest.raises(PreconditionError, match="exceeds double precision range"):
+            canonical_height(phi, x)
 
     def test_square_at_two(self):
         value, err = archimedean_escape_rate(P(0, 0, 1), F(2))
@@ -374,4 +382,11 @@ class TestSurvey:
             survey(P(0, 0, 1), 2, -0.5)
         for window in (math.inf, math.nan):
             with pytest.raises(PreconditionError, match="finite"):
+                survey(P(0, 0, 1), 2, window)
+
+    def test_enumeration_cap(self):
+        # 800 once overflowed math.exp; log(cap + 1) is the first window
+        # that would enumerate beyond the cap.
+        for window in (800.0, math.log(SURVEY_N_MAX + 1)):
+            with pytest.raises(PreconditionError, match=f"SURVEY_N_MAX = {SURVEY_N_MAX}"):
                 survey(P(0, 0, 1), 2, window)
