@@ -272,6 +272,20 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
     raise TypeError(f"not a membership verdict: {verdict!r}")
 
 
+# The p-adic window grows like (max_iter + 1) * loss_per_step, so max_iter is
+# capped.  The cap clears the largest step count canonical_height can ask for
+# (about 1,100: a float tail bound over the EPS_FLOOR budget, at degree 2).
+MEMBERSHIP_MAX_ITER = 2048
+
+
+def _check_max_iter(max_iter: int) -> None:
+    if not isinstance(max_iter, int) or not 1 <= max_iter <= MEMBERSHIP_MAX_ITER:
+        raise PreconditionError(
+            f"max_iter must be an integer in 1..MEMBERSHIP_MAX_ITER = "
+            f"{MEMBERSHIP_MAX_ITER}, got {max_iter!r}"
+        )
+
+
 def filled_julia_membership(
     phi: RationalPoly, zeta: DiscPoint, max_iter: int = 256
 ) -> MembershipVerdict:
@@ -294,8 +308,7 @@ def filled_julia_membership(
     certification is disabled for the remaining steps but escape detection
     stays sound.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise PreconditionError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _check_max_iter(max_iter)
     d = map_degree(phi)
     p = zeta.p
     v_c = escape_threshold(phi, p)

@@ -8,19 +8,38 @@ Three bound shapes are compared at each ramification index e:
     of the ramification indices up to e;
   * nine_exp(e)   = C * 9**-e, a clean exponential baseline.
 
-The arithmetic facts behind the comparison are verified exactly on big
-integers: lcm(1..e) <= 3**e (equivalently new_bound >= nine_exp), with the
-least-common-multiple maintained incrementally (it changes only at prime
-powers, so the verification up to large e only touches ~e/log(e) events).
+The arithmetic fact behind the comparison, lcm(1..e) <= 3**e (equivalently
+new_bound >= nine_exp), is certified exactly.  lcm(1..n) changes only at
+prime powers n = p**k, where it gains one factor p, so only those ~n/log(n)
+events are checked.  At each one a running sum of small integers bounds
+log2 lcm(1..n) from above and is compared with a rational lower bound for
+n*log2(3); this is Chebyshev's psi(n) <= n*log(3), which Rosser and
+Schoenfeld's psi(x) < 1.03883*x leaves with room to spare.  Wherever that
+integer test does not decide, lcm(1..n) <= 3**n is compared on big integers,
+so the answer is exact in every case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .valuation import PreconditionError
+
+# Rows hold every exact lcm(1..e), about 1.44*e bits each, so a table's
+# memory grows like e**2 (e = 20,000 already takes about 40 MB).  Up to the
+# cap every lcm(1..e) also has fewer than 4,300 digits, Python's default
+# limit for int-to-str conversion, so bounds_to_csv can print every row;
+# lcm(1..9859) is the first over it.
+BOUND_TABLE_E_MAX = 9000
+
+# log2(3) > 19/12, proved exactly by 2**19 = 524288 < 531441 = 3**12.
+_LOG2_3_NUM, _LOG2_3_DEN = 19, 12
+assert 2**_LOG2_3_NUM < 3**_LOG2_3_DEN
+# (p**_LOG_SCALE).bit_length() > _LOG_SCALE * log2(p): a rounded-up log2 p.
+_LOG_SCALE = 16
 
 
 def lcm_list(values: Sequence[int]) -> tuple[int, int]:
@@ -68,24 +87,34 @@ class BoundRow:
 
 
 def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
-    """Rows e = 1..e_max of all three bounds, with an exact per-row check.
+    """Rows e = 1..e_max of all three bounds, with exact lcm(1..e) values.
 
-    Each row verifies, on exact integers, that lcm(1..e) <= 3**e, which is
-    exactly new_bound >= nine_exp (C/lcm**2 >= C*9**-e).  float columns may
-    underflow to 0 for large e; the exact check never relies on them.
+    lcm(1..e) <= 3**e, which is exactly new_bound >= nine_exp
+    (C/lcm**2 >= C*9**-e), holds on every row: it is certified by the same
+    prime-power walk as ``verify_lcm_exponential_bound``, which also gives
+    the lcm column.  float columns may underflow to 0 for large e; the
+    certificate never relies on them.  e_max is capped at
+    ``BOUND_TABLE_E_MAX``, which bounds the memory of the exact lcm column
+    and keeps every entry printable in decimal.
     """
     if not isinstance(e_max, int) or e_max < 1:
         raise PreconditionError("e_max must be a positive integer")
+    if e_max > BOUND_TABLE_E_MAX:
+        raise PreconditionError(
+            f"e_max {e_max} exceeds BOUND_TABLE_E_MAX = {BOUND_TABLE_E_MAX}: "
+            "the exact lcm column grows quadratically and must print as decimal"
+        )
     if not (c > 0):
         raise PreconditionError("constant C must be positive")
+    factor_at: dict[int, int] = {}
+    for n, p, holds in _lcm_events(e_max):
+        assert holds, f"lcm(1..{n}) > 3**{n} would contradict Rosser-Schoenfeld"
+        factor_at[n] = p
     rows: list[BoundRow] = []
     lcm_val = 1
-    three_pow = 1
     for e in range(1, e_max + 1):
-        lcm_val = math.lcm(lcm_val, e)
-        three_pow *= 3
-        if lcm_val > three_pow:
-            raise RuntimeError(f"lcm(1..{e}) exceeds 3**{e}: exact invariant broken")
+        if e in factor_at:
+            lcm_val *= factor_at[e]
         log_lcm = math.log(lcm_val)
         new_bound = _exp_or_inf(math.log(c) - 2 * log_lcm)
         nine_exp = _exp_or_inf(math.log(c) - e * math.log(9))
@@ -107,39 +136,54 @@ def find_crossover(e_max: int, c: float = 1.0) -> int | None:
     return None
 
 
+def _prime_powers(n_max: int) -> Iterator[tuple[int, int]]:
+    """(p**k, p) for every prime power 1 < p**k <= n_max, by increasing p**k."""
+    is_prime = bytearray([1]) * (n_max + 1)
+    is_prime[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n_max) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = bytes(len(range(i * i, n_max + 1, i)))
+    higher: dict[int, int] = {}  # p**k -> p for k >= 2
+    for p in itertools.compress(range(math.isqrt(n_max) + 1), is_prime):
+        q = p * p
+        while q <= n_max:
+            higher[q] = p
+            q *= p
+    primes = itertools.compress(range(n_max + 1), is_prime)
+    for n in sorted(itertools.chain(primes, higher)):
+        yield n, higher.get(n, n)
+
+
+def _lcm_events(n_max: int) -> Iterator[tuple[int, int, bool]]:
+    """(n, p, lcm(1..n) <= 3**n) at each prime power n = p**k <= n_max.
+
+    The running sum ``bits`` of rounded-up log2 p, scaled by _LOG_SCALE,
+    exceeds _LOG_SCALE * log2 lcm(1..n); once it is at most
+    _LOG_SCALE * n * 19/12 < _LOG_SCALE * n * log2(3), the bound holds.
+    Otherwise both sides are computed exactly.
+    """
+    bits = 0
+    for n, p in _prime_powers(n_max):
+        bits += (p**_LOG_SCALE).bit_length()
+        holds = (
+            _LOG2_3_DEN * bits <= _LOG2_3_NUM * _LOG_SCALE * n
+            or lcm_range(n) <= 3**n
+        )
+        yield n, p, holds
+
+
 def verify_lcm_exponential_bound(n_max: int) -> bool:
-    """Exact big-integer verification that lcm(1..n) <= 3**n for all n <= n_max.
+    """Exact verification that lcm(1..n) <= 3**n for all n <= n_max.
 
     lcm(1..n) changes only when n is a prime power (it gains one factor of
     the prime), so it suffices to compare at those events; between events
-    the left side is constant while 3**n grows.  Both sides are exact
-    integers throughout.
+    the left side is constant while 3**n grows.  Each event is certified by
+    small-integer log bounds, or, where they do not decide, by the exact
+    big-integer comparison.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise PreconditionError("n_max must be a positive integer")
-    # Sieve of smallest prime factors to find prime powers quickly.
-    spf = list(range(n_max + 1))
-    for i in range(2, int(n_max**0.5) + 1):
-        if spf[i] == i:
-            for j in range(i * i, n_max + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    lcm_val = 1
-    three_pow = 1
-    last_n = 0
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        q = n
-        while q % p == 0:
-            q //= p
-        if q != 1:
-            continue  # not a prime power: lcm unchanged, 3**n only grows
-        lcm_val *= p
-        three_pow *= 3 ** (n - last_n)
-        last_n = n
-        if lcm_val > three_pow:
-            return False
-    return True
+    return all(holds for _, _, holds in _lcm_events(n_max))
 
 
 def bounds_to_csv(rows: Sequence[BoundRow]) -> str:

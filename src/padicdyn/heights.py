@@ -38,6 +38,7 @@ from .berkovich import (
     BoundedCertified,
     DiscPoint,
     Escaped,
+    _check_max_iter,
     _height_growth_bound,
     escape_threshold,
     filled_julia_membership,
@@ -116,8 +117,7 @@ def local_escape_rate(
     d = map_degree(phi)
     zeta = DiscPoint(x, INF, p)  # checks the place
     p = zeta.p
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise PreconditionError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _check_max_iter(max_iter)
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
@@ -375,7 +375,10 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
         if weil_height(z) > bound + 1e-9:
             return PreperiodicityCertificate(False, None, None, k, bound)
         z = phi(z)
-    raise RuntimeError("preperiodicity undecided within the iteration guard")
+    raise PreconditionError(
+        f"preperiodicity undecided within _PREPERIODIC_ITERATION_GUARD = "
+        f"{_PREPERIODIC_ITERATION_GUARD} exact orbit steps"
+    )
 
 
 # -- canonical height ---------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 
+from .errors import PreconditionError
+
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -75,7 +77,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Return the prime factorization of ``n`` >= 1 as {prime: exponent}."""
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise PreconditionError(f"factorize expects a positive integer, got {n!r}")
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import PreconditionError
 from .primes import is_prime
-
-
-class PreconditionError(ValueError):
-    """An operation was invoked outside its stated domain."""
 
 
 class _PlusInfinity:

@@ -30,6 +30,7 @@ from padicdyn import (
     val,
     verdict_to_json_dict,
 )
+from padicdyn.berkovich import MEMBERSHIP_MAX_ITER
 
 
 def P(*ascending):
@@ -280,8 +281,10 @@ class TestFilledJuliaMembership:
         assert verdict == BoundedUpTo(max_iter=40)
 
     def test_max_iter_guard(self):
-        with pytest.raises(PreconditionError):
-            filled_julia_membership(P(0, 0, 1), DiscPoint(0, 0, 2), 0)
+        # checked before any work, so only the value just above the cap is run
+        for bad in (0, MEMBERSHIP_MAX_ITER + 1):
+            with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
+                filled_julia_membership(P(0, 0, 1), DiscPoint(0, 0, 2), bad)
 
     def test_monotone_escape(self):
         # escape at rho implies escape at any wider disc (smaller rho)

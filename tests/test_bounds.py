@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from padicdyn import bounds
 from padicdyn import (
     PreconditionError,
     bound_table,
@@ -14,6 +15,7 @@ from padicdyn import (
     pottmeyer_bound,
     verify_lcm_exponential_bound,
 )
+from padicdyn.bounds import BOUND_TABLE_E_MAX
 
 
 class TestLcmHelpers:
@@ -64,6 +66,15 @@ class TestBoundTable:
         with pytest.raises(PreconditionError):
             bound_table(0)
 
+    def test_rejects_e_max_above_cap(self):
+        with pytest.raises(PreconditionError, match="BOUND_TABLE_E_MAX"):
+            bound_table(BOUND_TABLE_E_MAX + 1)
+
+    def test_lcm_column_prints_up_to_cap(self):
+        # bounds_to_csv writes lcm_e in decimal, which Python refuses beyond
+        # 4,300 digits by default
+        assert len(str(lcm_range(BOUND_TABLE_E_MAX))) < 4300
+
 
 class TestCrossover:
     def test_crossover_at_six(self):
@@ -85,9 +96,85 @@ class TestCrossover:
         assert math.isclose(pottmeyer_bound(5), 4.511020e-4, rel_tol=1e-6)
 
 
+def _exact_lcm_walk(n_max):
+    """(n, p, lcm(1..n), 3**n) at each prime power n = p**k <= n_max, from a
+    smallest-prime-factor sieve and running big-integer products."""
+    spf = list(range(n_max + 1))
+    for i in range(2, math.isqrt(n_max) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n_max + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    lcm_val = three_pow = 1
+    last_n = 0
+    for n in range(2, n_max + 1):
+        p = q = spf[n]
+        while q < n:
+            q *= p
+        if q != n:
+            continue
+        lcm_val *= p
+        three_pow *= 3 ** (n - last_n)
+        last_n = n
+        yield n, p, lcm_val, three_pow
+
+
 class TestLcmExponentialBound:
     def test_holds_to_one_hundred_thousand(self):
         assert verify_lcm_exponential_bound(100_000) is True
+
+    def test_holds_to_one_million(self):
+        assert verify_lcm_exponential_bound(10**6) is True
+
+    def test_log2_of_three_lower_bound(self):
+        assert (bounds._LOG2_3_NUM, bounds._LOG2_3_DEN) == (19, 12)
+        assert 2**19 < 3**12
+
+    def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
+        # every event the integer log bound decides alone must satisfy
+        # lcm(1..n) <= 3**n on exact integers; no event up to 10**5 needs
+        # the big-integer fallback
+        fallback = []
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
+        events = list(bounds._lcm_events(100_000))
+        exact = list(_exact_lcm_walk(100_000))
+        assert [(n, p) for n, p, _ in events] == [(n, p) for n, p, _, _ in exact]
+        assert fallback == []
+        for (n, _, holds), (_, _, lcm_val, three_pow) in zip(events, exact):
+            assert holds and lcm_val <= three_pow, n
+
+    def test_integer_bound_never_certifies_a_false_claim(self, monkeypatch):
+        # with log2(3) > 29/20 in place of 19/12 the certified claim,
+        # lcm(1..n)**20 < 2**(29*n), is false at some n <= 3000, so a sound
+        # integer test must hand those events to the fallback
+        fallback = []
+        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 29)
+        monkeypatch.setattr(bounds, "_LOG2_3_DEN", 20)
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
+        certified = []
+        events = zip(bounds._lcm_events(3000), _exact_lcm_walk(3000))
+        for (n, _, _), (_, _, lcm_val, _) in events:
+            if n not in fallback:
+                certified.append(n)
+                assert (lcm_val**20).bit_length() <= 29 * n, n
+        assert certified and fallback
+
+    def test_exact_fallback_decides_when_integer_bound_cannot(self, monkeypatch):
+        calls = []
+
+        def counted_lcm_range(n):
+            calls.append(n)
+            return lcm_range(n)
+
+        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)  # integer test never passes
+        monkeypatch.setattr(bounds, "lcm_range", counted_lcm_range)
+        assert verify_lcm_exponential_bound(2000) is True
+        assert calls == [n for n, _ in bounds._prime_powers(2000)]
+
+    def test_exact_fallback_answer_is_returned(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: 3**n + 1)
+        assert verify_lcm_exponential_bound(50) is False
 
     def test_small_prefix_exact(self):
         lcm = 1

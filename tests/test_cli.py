@@ -165,6 +165,12 @@ class TestExitCodes:
             (["height", "X^2+1", f"{10**400}/3"], "exceeds double precision range"),
             (["height", f"{10**400}*X^2+1", "1"], "exceeds double precision range"),
             (["survey", "X^2", "--prime", "2", "--max-height", "800"], "SURVEY_N_MAX"),
+            (["bounds", "--max-e", "9001"], "BOUND_TABLE_E_MAX"),
+            (
+                ["member", "X^2", "--prime", "2", "--center", "0", "--rho", "0",
+                 "--max-iter", "2049"],
+                "MEMBERSHIP_MAX_ITER",
+            ),
         ],
     )
     def test_out_of_range_input_exits_three(self, argv, message, capsys):

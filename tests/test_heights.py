@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,9 @@ from padicdyn import (
     verdict_to_json_dict,
     weil_height,
 )
-from padicdyn.heights import SURVEY_N_MAX
+from padicdyn import heights
+from padicdyn.berkovich import MEMBERSHIP_MAX_ITER
+from padicdyn.heights import EPS_FLOOR, SURVEY_N_MAX
 
 
 def P(*ascending):
@@ -169,6 +172,24 @@ def test_local_escape_rate_matches_exact_orbit(phi, x, p, max_iter, fix_x):
     assert verdict == Escaped(step) == Escaped(step, valuation=t)
     assert verdict.valuation == t
     assert verdict_to_json_dict(verdict) == {"verdict": "escaped", "step": step}
+
+
+def test_local_escape_rate_max_iter_cap():
+    # the cap holds on the integral trap too, which never runs the orbit
+    for x in (F(1, 2), F(1)):
+        with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
+            local_escape_rate(P(0, 0, 1), x, 2, max_iter=MEMBERSHIP_MAX_ITER + 1)
+
+
+def test_membership_cap_clears_every_canonical_height_need():
+    # canonical_height asks for ceil(log(tail / (budget_p / 2)) / log d) + 2
+    # steps: largest at d = 2, the largest float tail bound and the smallest
+    # budget_p (eps = EPS_FLOOR, half to the archimedean place, the rest
+    # split over 2**20 active primes)
+    budget_p = EPS_FLOOR / 2 / 2**20
+    log_ratio = math.log(sys.float_info.max) - math.log(budget_p / 2)
+    need = math.ceil(log_ratio / math.log(2)) + 2
+    assert 256 < need < MEMBERSHIP_MAX_ITER
 
 
 class TestArchimedeanEscapeRate:
@@ -332,6 +353,12 @@ class TestIsPreperiodic:
 
     def test_negative_unit_square(self):
         assert is_preperiodic(P(0, 0, 1), F(-1))
+
+    def test_iteration_guard_is_a_precondition(self, monkeypatch):
+        # 1 -> 0 -> -1 -> 0 first repeats at step 3, past a guard of 2 steps
+        monkeypatch.setattr(heights, "_PREPERIODIC_ITERATION_GUARD", 2)
+        with pytest.raises(PreconditionError, match="_PREPERIODIC_ITERATION_GUARD"):
+            is_preperiodic(P(-1, 0, 1), F(1))
 
     def test_huge_coefficients(self):
         cert = is_preperiodic(P(10**400, 0, 1), F(0))

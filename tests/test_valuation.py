@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicdyn
+from padicdyn import errors, primes, valuation
 from padicdyn import (
     INF,
     DiscPoint,
@@ -17,6 +19,7 @@ from padicdyn import (
     check_criterion,
     check_criterion_abstract,
     escape_threshold,
+    factorize,
     good_reduction,
     in_value_group,
     is_finite,
@@ -125,6 +128,18 @@ class TestPlace:
     def test_rejects_bad_ramification(self):
         with pytest.raises(PreconditionError):
             Place(5, 0)
+
+
+def test_precondition_error_is_one_class():
+    assert padicdyn.PreconditionError is errors.PreconditionError
+    assert valuation.PreconditionError is primes.PreconditionError is PreconditionError
+    assert issubclass(PreconditionError, ValueError)
+
+
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorize_rejects_non_positive(n):
+    with pytest.raises(PreconditionError, match="positive integer"):
+        factorize(n)
 
 
 _PHI = RationalPoly([F(1, 3), 0, 1])  # X^2 + 1/3
