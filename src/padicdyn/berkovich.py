@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
@@ -168,6 +168,50 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
     return DiscPoint(tay[0], rho_new, zeta.p)
 
 
+@dataclass
+class _PreparedMap:
+    """A map's invariants, each filled on first use and kept on the map object
+    (``RationalPoly._prepared``); a failed computation stores nothing."""
+
+    local: dict = field(default_factory=dict)  # prime -> _LocalInvariants
+    growth_bound: float | None = None
+    denominator_primes: set | None = None  # primes of the coefficient denominators
+    arch: tuple | None = None  # archimedean (ad, s_low, r_esc, log_ad, kappa, lam)
+    coeffs_iv: dict = field(default_factory=dict)  # prec -> interval coefficients
+
+
+def _prepared(phi: RationalPoly) -> _PreparedMap:
+    if phi._prepared is None:
+        phi._prepared = _PreparedMap()
+    return phi._prepared
+
+
+class _LocalInvariants(NamedTuple):
+    v_c: Fraction
+    vad: Fraction  # val(a_d)
+    min_val: Fraction  # least valuation of a nonzero coefficient
+    tail_const: float  # float(bound_q) * log(p), the left factor in _tail_bound_p
+    integral: bool  # every coefficient is p-integral
+
+
+def _local(phi: RationalPoly, p: int) -> _LocalInvariants:
+    """phi's invariants at the prime p; callers check the place and degree."""
+    local = _prepared(phi).local
+    if p not in local:
+        d = phi.degree
+        vals = {i: val(c, p) for i, c in enumerate(phi.coefficients) if c != 0}
+        vad = vals[d]
+        low = [(v - vad) / Fraction(d - i) for i, v in vals.items() if i < d]
+        v_c = min([-vad / Fraction(d - 1)] + low)
+        min_val = min(vals.values())
+        t_floor = min_val + d * min(v_c, Fraction(0))
+        bound_q = max(Fraction(0), -t_floor) + abs(vad) / Fraction(d - 1)
+        tail_const = float(bound_q) * math.log(p)
+        integral = all(c.denominator % p for c in phi.coefficients)
+        local[p] = _LocalInvariants(v_c, vad, min_val, tail_const, integral)
+    return local[p]
+
+
 def escape_threshold(phi: RationalPoly, place) -> Fraction:
     """The critical valuation v_C below which orbits provably escape.
 
@@ -177,17 +221,8 @@ def escape_threshold(phi: RationalPoly, place) -> Fraction:
     < val(z), and the valuation decreases to -infinity from there on.
     """
     p = as_place(place).p
-    d = map_degree(phi)
-    vad = val(phi.leading_coefficient, p)
-    best = -vad / Fraction(d - 1)
-    for i in range(d):
-        ai = phi.coefficient(i)
-        if ai == 0:
-            continue
-        cand = (val(ai, p) - vad) / Fraction(d - i)
-        if cand < best:
-            best = cand
-    return best
+    map_degree(phi)
+    return _local(phi, p).v_c
 
 
 # -- naive height growth -----------------------------------------------------
@@ -211,18 +246,21 @@ def _height_growth_bound(phi: RationalPoly) -> float:
     C = max(log(2 W |A_d|**(d-1)), d*log(R1*|A_d|)); B = C/(d-1).
     (Silverman, The Arithmetic of Dynamical Systems, section 3.4.)
     """
-    d = phi.degree
-    w = math.lcm(*(c.denominator for c in phi.coefficients))
-    ints = [abs(int(c * w)) for c in phi.coefficients]
-    a_d = ints[-1]
-    s_low = sum(ints[:-1])
-    # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
-    # huge coefficients cannot overflow a float.
-    c_low = max(
-        math.log(2 * w) + (d - 1) * math.log(a_d),
-        d * math.log(max(a_d, 2 * s_low)),
-    )
-    return c_low / (d - 1)
+    prep = _prepared(phi)
+    if prep.growth_bound is None:
+        d = phi.degree
+        w = math.lcm(*(c.denominator for c in phi.coefficients))
+        ints = [abs(int(c * w)) for c in phi.coefficients]
+        a_d = ints[-1]
+        s_low = sum(ints[:-1])
+        # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
+        # huge coefficients cannot overflow a float.
+        c_low = max(
+            math.log(2 * w) + (d - 1) * math.log(a_d),
+            d * math.log(max(a_d, 2 * s_low)),
+        )
+        prep.growth_bound = c_low / (d - 1)
+    return prep.growth_bound
 
 
 # -- filled Julia membership -------------------------------------------------
@@ -318,8 +356,7 @@ def filled_julia_membership(
     # phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
     # which computed valuations are guaranteed exact after all steps; the
     # extra d*negvc covers comparison slop in the radius update.
-    finite_cvals = [val(c, p) for c in phi.coefficients if c != 0]
-    neg = max(0, math.ceil(-min(finite_cvals)))
+    neg = max(0, math.ceil(-_local(phi, p).min_val))
     negvc = max(0, math.ceil(-v_c))
     rho0_mag = 0 if zeta.is_type_i else 2 * math.ceil(abs(zeta.rho))
     loss_per_step = neg + (d - 1) * negvc

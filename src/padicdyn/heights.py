@@ -40,6 +40,8 @@ from .berkovich import (
     Escaped,
     _check_max_iter,
     _height_growth_bound,
+    _local,
+    _prepared,
     escape_threshold,
     filled_julia_membership,
     weil_height,
@@ -53,7 +55,6 @@ from .valuation import (
     RationalLike,
     as_fraction,
     as_place,
-    val,
 )
 
 EPS_FLOOR = 1e-12
@@ -121,13 +122,13 @@ def local_escape_rate(
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
-    if zeta.center.denominator % p and all(c.denominator % p for c in phi.coefficients):
+    inv = _local(phi, p)
+    if zeta.center.denominator % p and inv.integral:
         return _exact_zero()
 
     verdict = filled_julia_membership(phi, zeta, max_iter)
     if isinstance(verdict, Escaped):
-        vad = val(phi.leading_coefficient, p)
-        q = Fraction(1, d**verdict.step) * (-verdict.valuation - vad / Fraction(d - 1))
+        q = Fraction(1, d**verdict.step) * (-verdict.valuation - inv.vad / Fraction(d - 1))
         return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
     if isinstance(verdict, BoundedCertified):
         return _exact_zero()
@@ -136,14 +137,9 @@ def local_escape_rate(
 
 def _tail_bound_p(phi: RationalPoly, p: int, max_iter: int) -> float:
     """Upper bound for |g_p| given no escape within max_iter steps."""
-    d = phi.degree
-    v_c = escape_threshold(phi, p)
-    vad = val(phi.leading_coefficient, p)
-    coeff_vals = [val(c, p) for c in phi.coefficients if c != 0]
-    t_floor = min(coeff_vals) + d * min(v_c, Fraction(0))
-    bound_q = max(Fraction(0), -t_floor) + abs(vad) / Fraction(d - 1)
+    escape_threshold(phi, p)  # checks the place and degree
     return (
-        float(bound_q) * math.log(p) * math.exp(-(max_iter) * math.log(d)) * 1.01
+        _local(phi, p).tail_const * math.exp(-(max_iter) * math.log(phi.degree)) * 1.01
         + 1e-300
     )
 
@@ -231,40 +227,45 @@ def archimedean_escape_rate(
             "higher-precision logarithms is required"
         )
     xf = as_fraction(x)
-    coeffs = phi.coefficients
-    ad = abs(coeffs[-1])
+    prep = _prepared(phi)
     # A map or point beyond double range makes a float conversion or power
     # below raise OverflowError.
     try:
-        if float(ad) == 0.0:
-            raise PreconditionError(
-                "leading coefficient underflows double precision; the escape "
-                "radius would need big-number logarithms"
-            )
-        s_low = sum(abs(c) for c in coeffs[:-1])
+        if prep.arch is None:
+            ad = abs(phi.leading_coefficient)
+            if float(ad) == 0.0:
+                raise PreconditionError(
+                    "leading coefficient underflows double precision; the escape "
+                    "radius would need big-number logarithms"
+                )
+            s_low = sum(abs(c) for c in phi.coefficients[:-1])
 
-        # Escape radius: beyond R the leading term dominates (u <= 1/2), the
-        # modulus at least doubles each step, and the log recursion is valid.
-        r_candidates = [
-            Fraction(1),
-            (2 * s_low + 2) / ad,
-            _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
-        ]
-        r_esc = max(r_candidates) * Fraction(9, 8)
-        # First-crossing magnitude bound and the tail constant.
-        r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
-        log_ad = math.log(float(ad))
-        kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
+            # Escape radius: beyond R the leading term dominates (u <= 1/2), the
+            # modulus at least doubles each step, and the log recursion is valid.
+            r_candidates = [
+                Fraction(1),
+                (2 * s_low + 2) / ad,
+                _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
+            ]
+            r_esc = max(r_candidates) * Fraction(9, 8)
+            # First-crossing magnitude bound and the tail constant.
+            r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
+            log_ad = math.log(float(ad))
+            kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
+            # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
+            lam = float(sum(i * abs(c) for i, c in enumerate(phi.coefficients))) * float(
+                max(r_esc, 1) ** (d - 1)
+            ) + 2.0
+            prep.arch = (ad, s_low, r_esc, log_ad, kappa, lam)
+        ad, s_low, r_esc, log_ad, kappa, lam = prep.arch
         steps = max(1, math.ceil(math.log(kappa / error_budget) / math.log(d))) + 1
-
-        # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
-        lam = float(sum(i * abs(c) for i, c in enumerate(coeffs))) * float(
-            max(r_esc, 1) ** (d - 1)
-        ) + 2.0
         prec = 64 + steps * max(1, math.ceil(math.log2(lam + 2)))
+        ivs = prep.coeffs_iv
         for _ in range(8):
+            if prec not in ivs:
+                ivs[prec] = [_FixIv.from_fraction(c, prec) for c in phi.coefficients]
             result = _arch_attempt(
-                phi, xf, error_budget, steps, prec, r_esc, kappa, log_ad, s_low, ad
+                ivs[prec], xf, error_budget, steps, prec, r_esc, kappa, log_ad, s_low, ad
             )
             if result is not None:
                 return result
@@ -281,7 +282,7 @@ def archimedean_escape_rate(
 
 
 def _arch_attempt(
-    phi: RationalPoly,
+    coeffs_iv: list[_FixIv],
     x: Fraction,
     budget: float,
     steps: int,
@@ -292,8 +293,7 @@ def _arch_attempt(
     s_low: Fraction,
     ad: Fraction,
 ) -> LocalContribution | None:
-    d = phi.degree
-    coeffs_iv = [_FixIv.from_fraction(c, prec) for c in phi.coefficients]
+    d = len(coeffs_iv) - 1
     xiv = _FixIv.from_fraction(x, prec)
     # The 9/8 slack inside r_esc means dominance already holds a hair below
     # it; entering the escape branch at this lower gate keeps an orbit value
@@ -410,10 +410,11 @@ class HeightResult:
 
 def _active_primes(phi: RationalPoly, x: Fraction) -> list[int]:
     """Primes where x or a coefficient is non-integral; all others give 0."""
-    primes: set[int] = set(factorize(x.denominator))
-    for c in phi.coefficients:
-        primes.update(factorize(c.denominator))
-    return sorted(primes)
+    prep = _prepared(phi)
+    if prep.denominator_primes is None:
+        dens = (c.denominator for c in phi.coefficients)
+        prep.denominator_primes = set().union(*map(factorize, dens))
+    return sorted(prep.denominator_primes.union(factorize(x.denominator)))
 
 
 def canonical_height(

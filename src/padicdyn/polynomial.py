@@ -27,13 +27,15 @@ class RationalPoly:
     degree None.
     """
 
-    __slots__ = ("_coeffs",)
+    # _prepared: the map's invariants (berkovich._PreparedMap), filled on first use.
+    __slots__ = ("_coeffs", "_prepared")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
         coeffs = [as_fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
+        object.__setattr__(self, "_prepared", None)
 
     # -- construction ---------------------------------------------------
     @classmethod
