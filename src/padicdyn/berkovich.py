@@ -314,6 +314,9 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
 # capped.  The cap clears the largest step count canonical_height can ask for
 # (about 1,100: a float tail bound over the EPS_FLOOR budget, at degree 2).
 MEMBERSHIP_MAX_ITER = 2048
+# The window also grows by 2*ceil(|rho|) for a disc, so |rho| is capped too;
+# a disc of radius p**-1024 is a point for any verdict worth asking for.
+MEMBERSHIP_RHO_MAX = 1024
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -347,6 +350,11 @@ def filled_julia_membership(
     stays sound.
     """
     _check_max_iter(max_iter)
+    if not zeta.is_type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
+        raise PreconditionError(
+            "disc radius valuation exceeds MEMBERSHIP_RHO_MAX = "
+            f"{MEMBERSHIP_RHO_MAX} in absolute value"
+        )
     d = map_degree(phi)
     p = zeta.p
     v_c = escape_threshold(phi, p)
@@ -501,9 +509,10 @@ def max_point(phi: RationalPoly, a: RationalLike, place) -> MaxPointResult:
     bounded, then bisect to MAX_POINT_TOLERANCE; the bracket's lowest-
     denominator rational is confirmed by probes on both sides.  Each probe
     runs MAX_POINT_ITER membership steps.  The search always stops: both
-    phases end at the first inconclusive (BoundedUpTo) probe or after
-    MAX_POINT_PROBES probes, and rho_upper is None when no upward probe was
-    bounded (a repelling center, say).
+    phases end at the first inconclusive (BoundedUpTo) probe, after
+    MAX_POINT_PROBES probes, or at a probe beyond MEMBERSHIP_RHO_MAX, and
+    rho_upper is None when no upward probe was bounded (a repelling center,
+    say).
     """
     p = as_place(place).p
     d = map_degree(phi)
@@ -530,7 +539,7 @@ def max_point(phi: RationalPoly, a: RationalLike, place) -> MaxPointResult:
     def narrow(rho: Fraction) -> bool:
         """Probe rho and move the bracket end it certifies; False if it certifies none."""
         nonlocal lo, lo_escaped, hi
-        if probes >= MAX_POINT_PROBES:
+        if probes >= MAX_POINT_PROBES or abs(rho) > MEMBERSHIP_RHO_MAX:
             return False
         verdict = probe(rho)
         if isinstance(verdict, Escaped):

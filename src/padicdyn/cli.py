@@ -209,10 +209,16 @@ def _cmd_disc_eval(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.poly)
     zeta = _disc_point(args)
     v = seminorm(zeta, poly)
+    try:
+        absolute = 0.0 if not is_finite(v) else float(args.prime) ** float(-v)
+    except OverflowError as exc:
+        raise PreconditionError(
+            "the absolute value p**-v is beyond double precision range"
+        ) from exc
     out = {
         "point": zeta.to_json_dict(),
         "valuation": "inf" if not is_finite(v) else str(v),
-        "absolute_value": 0.0 if not is_finite(v) else float(args.prime) ** float(-v),
+        "absolute_value": absolute,
     }
     print(json.dumps(out))
     return EXIT_OK

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import (
     INF,
@@ -30,7 +32,7 @@ from padicdyn import (
     val,
     verdict_to_json_dict,
 )
-from padicdyn.berkovich import MEMBERSHIP_MAX_ITER
+from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, MEMBERSHIP_RHO_MAX
 
 
 def P(*ascending):
@@ -225,6 +227,30 @@ class TestEscapeThreshold:
         with pytest.raises(PreconditionError):
             escape_threshold(P(0, 1), Place(2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coeffs=st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 40)),
+                        min_size=3, max_size=6),
+        p=st.sampled_from([2, 3, 5, 7]),
+        other=st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_formula_on_fresh_and_warm_maps(self, coeffs, p, other):
+        # v_C written out, against a fresh map and one whose memo holds
+        # other primes and the membership plan already
+        if coeffs[-1] == 0:
+            coeffs[-1] = F(1)
+        phi = RationalPoly(coeffs)
+        d = phi.degree
+        vad = val(coeffs[-1], p)
+        expected = -vad / F(d - 1)
+        for i in range(d):
+            if coeffs[i] != 0:
+                expected = min(expected, (val(coeffs[i], p) - vad) / F(d - i))
+        assert escape_threshold(phi, p) == expected
+        filled_julia_membership(phi, DiscPoint(F(1, 3), 0, other), 4)
+        assert escape_threshold(phi, other) == escape_threshold(RationalPoly(coeffs), other)
+        assert escape_threshold(phi, Place(p)) == expected
+
     def test_guarantee_below_threshold(self):
         # val(z) < threshold forces val(phi(z)) = val(a_d) + d*val(z) < val(z)
         rng = random.Random(31)
@@ -285,6 +311,12 @@ class TestFilledJuliaMembership:
         for bad in (0, MEMBERSHIP_MAX_ITER + 1):
             with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
                 filled_julia_membership(P(0, 0, 1), DiscPoint(0, 0, 2), bad)
+
+    def test_rho_cap(self):
+        # checked before any work, so only |rho| just above the cap is run
+        for rho in (MEMBERSHIP_RHO_MAX + 1, -MEMBERSHIP_RHO_MAX - 1):
+            with pytest.raises(PreconditionError, match="MEMBERSHIP_RHO_MAX"):
+                filled_julia_membership(P(0, 1, 1), DiscPoint(1, rho, 3), 64)
 
     def test_monotone_escape(self):
         # escape at rho implies escape at any wider disc (smaller rho)
@@ -400,6 +432,13 @@ class TestMaxPoint:
         assert time.perf_counter() - start < 5
         assert result.rho_upper is None and result.snapped is None
         assert not result.exact
+
+    def test_probe_beyond_rho_cap_is_inconclusive(self):
+        # 0 is fixed under X^2 + X/32 with multiplier of 2-adic valuation -5:
+        # D(0, 2**-rho) escapes within MAX_POINT_ITER steps up to rho = 1023,
+        # and the next step-up probe, rho = 2047, lies beyond the cap
+        result = max_point(P(0, F(1, 32), 1), F(0), 2)
+        assert result == MaxPointResult(F(1023), None, None, False, 11)
 
     def test_non_preperiodic_center_rejected(self):
         with pytest.raises(PreconditionError):

@@ -1,5 +1,7 @@
 """Expression parsing and the command-line surface: exit codes, JSON, CSV."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicdyn
 
@@ -170,6 +174,16 @@ class TestExitCodes:
                 ["member", "X^2", "--prime", "2", "--center", "0", "--rho", "0",
                  "--max-iter", "2049"],
                 "MEMBERSHIP_MAX_ITER",
+            ),
+            (
+                ["member", "X^2+X", "--prime", "3", "--center", "1", "--rho", "1025"],
+                "MEMBERSHIP_RHO_MAX",
+            ),
+            # a 50-digit semiprime whose factors are out of Pollard rho's reach
+            (["height", "X^2+1", f"1/{(10**24 + 7) * (10**25 + 13)}"], "FACTORIZE_RHO_STEPS"),
+            (
+                ["disc-eval", "X^2", "--prime", "2", "--center", "0", "--rho", "-512"],
+                "beyond double precision range",
             ),
         ],
     )
@@ -365,3 +379,69 @@ def test_readme_examples_stdout_is_byte_identical(argv, code, stdout, capsys):
     if argv[0] == "survey":
         out = "".join(out.splitlines(keepends=True)[:4])
     assert out == stdout
+
+
+# -- fuzzing run() -------------------------------------------------------------
+
+_FUZZ_POLYS = st.one_of(
+    st.sampled_from(
+        ["X^2", "X^5+X^2+X+1/2", "X^2 - 1", "1/2*X^3 - X", "X^2 + X", "X", "0", "5"]
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(["1", "2", "1/2", "3/4", "7", "1/9", "12345"]),
+                  st.integers(0, 6)),
+        max_size=4,
+    ).map(lambda terms: " + ".join(f"{c}*X^{k}" for c, k in terms) or "0"),
+    # junk, without '^' so that no exponent builds a huge polynomial
+    st.text(alphabet="X0123456789+-*/ ", max_size=10),
+)
+_FUZZ_RATIONALS = st.one_of(
+    st.integers(-3000, 3000).map(str),
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(0, 60)),
+    st.sampled_from(
+        ["inf", "nan", "-inf", "1e400", "x", "", "2.5", "1/0", "1024", "1025", "-1025",
+         "-600"]
+    ),
+)
+_FUZZ_INTS = st.one_of(
+    st.integers(-100, 100).map(str), st.sampled_from(["2", "3", "5", "7", "nan", "x", ""])
+)
+_FUZZ_FLOATS = st.one_of(
+    st.floats(-1, 1.5, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e-13", "1e-3", "800", "x"]),
+)
+# Options per subcommand, with sizes bounded so that every call stays fast.
+_FUZZ_OPTIONS = {
+    "np": {"--prime": _FUZZ_INTS},
+    "bogomolov": {"--prime": _FUZZ_INTS, "--ram": _FUZZ_INTS},
+    "disc-eval": {"--prime": _FUZZ_INTS, "--center": _FUZZ_RATIONALS,
+                  "--rho": _FUZZ_RATIONALS},
+    "member": {"--prime": _FUZZ_INTS, "--center": _FUZZ_RATIONALS,
+               "--rho": _FUZZ_RATIONALS, "--max-iter": st.integers(-2, 64).map(str)},
+    "mphi": {"--prime": _FUZZ_INTS, "--fixed": _FUZZ_RATIONALS},
+    "height": {"--eps": _FUZZ_FLOATS},
+    "survey": {"--prime": _FUZZ_INTS, "--max-height": _FUZZ_FLOATS, "--eps": _FUZZ_FLOATS},
+    "bounds": {"--max-e": st.integers(-5, 200).map(str), "--constant": _FUZZ_FLOATS},
+    "nope": {},
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [cmd] if cmd == "bounds" else [cmd, draw(_FUZZ_POLYS)]
+    if cmd == "height":
+        argv.append(draw(_FUZZ_RATIONALS))
+    for name, values in _FUZZ_OPTIONS[cmd].items():
+        if draw(st.integers(0, 9)):  # occasionally leave a required option out
+            argv += [name, draw(values)]
+    junk = st.sampled_from(["--junk", "X", "-h", "--prime=2", "1/2", "--"])
+    return argv + draw(st.lists(junk, max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzz_argv())
+def test_run_is_total_on_fuzzed_argv(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 10), argv

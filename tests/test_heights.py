@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from padicdyn import (
     RationalPoly,
     archimedean_escape_rate,
     canonical_height,
+    escape_threshold,
     filled_julia_membership,
     is_preperiodic,
     local_escape_rate,
@@ -234,6 +236,123 @@ class TestArchimedeanEscapeRate:
         for budget in (math.inf, math.nan):
             with pytest.raises(PreconditionError, match="finite"):
                 archimedean_escape_rate(P(0, 0, 1), F(2), budget)
+
+
+def _mp_escape_rate(phi, x, bits=3000, steps=80, big=mpmath.mpf(2) ** 1000):
+    """Oracle for g_inf(x) from a ``bits``-bit orbit: (value, error bound).
+
+    Once |z_m| > big, g(x) = d**-m * (log|z_m| + log|a_d|/(d-1)) up to a tail
+    of size d**-m * |u| with u ~ (sum |a_i|) / (|a_d| |z_m|), far below any
+    budget.  An orbit still below big after ``steps`` steps has
+    0 <= g(x) <= d**-steps * (log(big) + |log|a_d|| + 1).
+    """
+    d = phi.degree
+    with mpmath.workprec(bits):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in phi.coefficients]
+        log_ad = mpmath.log(abs(cs[-1]))
+        z = mpmath.mpf(x.numerator) / x.denominator
+        for m in range(steps):
+            if abs(z) > big:
+                return d ** -m * (mpmath.log(abs(z)) + log_ad / (d - 1)), mpmath.mpf(0)
+            z = mpmath.polyval(cs[::-1], z)
+        return mpmath.mpf(0), d ** -steps * (mpmath.log(big) + abs(log_ad) + 1)
+
+
+def test_archimedean_escape_rate_within_bound_of_mpmath_orbit():
+    # seeded random maps, each certified at several points and budgets, so
+    # most calls run on the map's stored archimedean set-up
+    rng = random.Random(2024)
+    worst = 0.0
+    for _ in range(100):
+        d = rng.randint(2, 4)
+        lead = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        phi = RationalPoly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)] + [lead])
+        for _ in range(4):
+            x = F(rng.randint(-40, 40), rng.randint(1, 12))
+            budget = rng.choice([1e-6, 1e-9, 1e-11])
+            value, err = archimedean_escape_rate(phi, x, budget)
+            assert err <= budget
+            g, tol = _mp_escape_rate(phi, x)
+            miss = abs(mpmath.mpf(value) - g) - tol
+            assert miss <= err, (phi, x, budget, value, err, g)
+            if err:
+                worst = max(worst, float(miss / err))
+    assert worst < 1
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+_MEMO_CALLS = {
+    "canonical_height": lambda phi, x, p, eps: canonical_height(phi, x, eps),
+    "local_escape_rate": lambda phi, x, p, eps: local_escape_rate(phi, x, p, 16),
+    "archimedean_escape_rate": lambda phi, x, p, eps: archimedean_escape_rate(phi, x, eps),
+    "filled_julia_membership": lambda phi, x, p, eps: filled_julia_membership(
+        phi, DiscPoint(x, F(1, 2), p), 16
+    ),
+}
+_points = st.builds(F, st.integers(-30, 30), st.integers(1, 30))
+_primes = st.sampled_from([2, 3, 5, 7])
+
+
+class TestPreparedMap:
+    """A map object keeps its invariants; results never depend on what it holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=_maps(),
+        x=_points,
+        p=_primes,
+        eps=st.sampled_from([1e-6, 1e-9]),
+        warm=st.lists(
+            st.tuples(_points, _primes, st.sampled_from([1e-3, 1e-7, 1e-11])),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_warm_map_matches_fresh_map(self, phi, x, p, eps, warm):
+        for args in warm:
+            for call in _MEMO_CALLS.values():
+                _outcome(call, phi, *args)
+        for name, call in _MEMO_CALLS.items():
+            fresh = RationalPoly(phi.coefficients)
+            assert _outcome(call, phi, x, p, eps) == _outcome(call, fresh, x, p, eps), name
+
+    def test_checks_run_on_a_warm_map(self):
+        phi = P(F(1, 3), 0, 1)
+        survey(phi, 3, math.log(3))  # fills every part of the map's memo
+        for bad in (4, 1, 0, -3):
+            for call in (escape_threshold, lambda f, pl: local_escape_rate(f, F(1, 2), pl)):
+                with pytest.raises(PreconditionError, match="place requires a prime"):
+                    call(phi, bad)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="exceeds double precision range"):
+                archimedean_escape_rate(phi, F(10**400, 3))
+
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            (P(1, 0, F(1, 10**400)), "underflows double precision"),
+            (P(1, 0, 10**400), "exceeds double precision range"),
+        ],
+    )
+    def test_failed_archimedean_set_up_is_not_stored(self, phi, message):
+        local_escape_rate(phi, F(1, 2), 2)  # the map's memo exists and holds p = 2
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=message):
+                archimedean_escape_rate(phi, F(1, 2))
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        a, b = P(F(1, 2), 1, 1, 0, 0, 1), P(F(1, 2), 1, 1, 0, 0, 1)
+        before = (hash(a), repr(a))
+        canonical_height(a, F(1, 3))
+        assert a._prepared is not None and b._prepared is None
+        assert a == b and {a: "a"}[b] == "a"
+        assert (hash(a), repr(a)) == before == (hash(b), repr(b))
 
 
 class TestCanonicalHeight:

@@ -142,6 +142,14 @@ def test_factorize_rejects_non_positive(n):
         factorize(n)
 
 
+def test_factorize_refuses_factors_out_of_reach():
+    # a 50-digit semiprime: Pollard rho would need about 10**12 steps
+    n = (10**24 + 7) * (10**25 + 13)
+    with pytest.raises(PreconditionError, match="FACTORIZE_RHO_STEPS"):
+        factorize(n)
+    assert factorize(2**3 * 999_983 * 1_000_003) == {2: 3, 999_983: 1, 1_000_003: 1}
+
+
 _PHI = RationalPoly([F(1, 3), 0, 1])  # X^2 + 1/3
 _PLACE_TAKERS = {
     "DiscPoint": lambda pl: DiscPoint(F(1, 3), 1, pl),
