@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
@@ -168,16 +168,17 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
     return DiscPoint(tay[0], rho_new, zeta.p)
 
 
-@dataclass
 class _PreparedMap:
     """A map's invariants, each filled on first use and kept on the map object
     (``RationalPoly._prepared``); a failed computation stores nothing."""
 
-    local: dict = field(default_factory=dict)  # prime -> _LocalInvariants
     growth_bound: float | None = None
-    denominator_primes: set | None = None  # primes of the coefficient denominators
-    arch: tuple | None = None  # archimedean (ad, s_low, r_esc, log_ad, kappa, lam)
-    coeffs_iv: dict = field(default_factory=dict)  # prec -> interval coefficients
+    denominator_primes: set[int] | None = None  # of the coefficients
+    arch: tuple | None = None  # (ad, s_low, r_esc, log_ad, kappa, lam)
+
+    def __init__(self) -> None:
+        self.local: dict[int, _LocalInvariants] = {}
+        self.coeffs_iv: dict[int, list] = {}  # prec -> interval coefficients
 
 
 def _prepared(phi: RationalPoly) -> _PreparedMap:
@@ -186,29 +187,29 @@ def _prepared(phi: RationalPoly) -> _PreparedMap:
     return phi._prepared
 
 
-class _LocalInvariants(NamedTuple):
-    v_c: Fraction
-    vad: Fraction  # val(a_d)
-    min_val: Fraction  # least valuation of a nonzero coefficient
-    tail_const: float  # float(bound_q) * log(p), the left factor in _tail_bound_p
-    integral: bool  # every coefficient is p-integral
+class _LocalInvariants:
+    """A map's invariants at the prime p: v_C, val(a_d), the least valuation
+    of a nonzero coefficient, the tail constant float(bound_q) * log(p) (the
+    left factor in _tail_bound_p) and whether every coefficient is p-integral."""
+
+    def __init__(self, phi: RationalPoly, p: int) -> None:
+        d = phi.degree
+        vals = {i: val(c, p) for i, c in enumerate(phi.coefficients) if c != 0}
+        self.vad = vad = vals[d]
+        low = [(v - vad) / Fraction(d - i) for i, v in vals.items() if i < d]
+        self.v_c = min([-vad / Fraction(d - 1)] + low)
+        self.min_val = min(vals.values())
+        t_floor = self.min_val + d * min(self.v_c, Fraction(0))
+        bound_q = max(Fraction(0), -t_floor) + abs(vad) / Fraction(d - 1)
+        self.tail_const = float(bound_q) * math.log(p)
+        self.integral = all(c.denominator % p for c in phi.coefficients)
 
 
 def _local(phi: RationalPoly, p: int) -> _LocalInvariants:
     """phi's invariants at the prime p; callers check the place and degree."""
     local = _prepared(phi).local
     if p not in local:
-        d = phi.degree
-        vals = {i: val(c, p) for i, c in enumerate(phi.coefficients) if c != 0}
-        vad = vals[d]
-        low = [(v - vad) / Fraction(d - i) for i, v in vals.items() if i < d]
-        v_c = min([-vad / Fraction(d - 1)] + low)
-        min_val = min(vals.values())
-        t_floor = min_val + d * min(v_c, Fraction(0))
-        bound_q = max(Fraction(0), -t_floor) + abs(vad) / Fraction(d - 1)
-        tail_const = float(bound_q) * math.log(p)
-        integral = all(c.denominator % p for c in phi.coefficients)
-        local[p] = _LocalInvariants(v_c, vad, min_val, tail_const, integral)
+        local[p] = _LocalInvariants(phi, p)
     return local[p]
 
 
@@ -314,8 +315,9 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
 # capped.  The cap clears the largest step count canonical_height can ask for
 # (about 1,100: a float tail bound over the EPS_FLOOR budget, at degree 2).
 MEMBERSHIP_MAX_ITER = 2048
-# The window also grows by 2*ceil(|rho|) for a disc, so |rho| is capped too;
-# a disc of radius p**-1024 is a point for any verdict worth asking for.
+# The window also grows by 2*ceil(|rho|) for a disc, so |rho| is capped too.
+# At the cap and MEMBERSHIP_MAX_ITER steps, X^2 + X at p = 3 about 1 takes
+# about 0.4 s on a 2-vCPU Xeon.
 MEMBERSHIP_RHO_MAX = 1024
 
 

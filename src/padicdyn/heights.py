@@ -25,6 +25,13 @@ computation pins the value to the requested tolerance.
 On top of these: exact preperiodicity decisions (orbit repetition versus a
 certified height-growth bound) and a survey that enumerates all rationals
 of bounded naive height and tabulates their canonical heights.
+
+What depends on the map alone (per-prime valuation data and tail constants,
+the growth bound, the primes of the coefficient denominators, the
+archimedean escape radius and tail constants, and the interval coefficients
+at each precision) is computed on first use and kept on the map object, so
+a survey computes it once for all its points.  Every call still runs its
+own checks, and a failed computation is never stored.
 """
 
 from __future__ import annotations

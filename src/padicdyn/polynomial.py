@@ -27,7 +27,6 @@ class RationalPoly:
     degree None.
     """
 
-    # _prepared: the map's invariants (berkovich._PreparedMap), filled on first use.
     __slots__ = ("_coeffs", "_prepared")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
@@ -35,7 +34,7 @@ class RationalPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
-        object.__setattr__(self, "_prepared", None)
+        self._prepared = None  # berkovich._PreparedMap, filled on first use
 
     # -- construction ---------------------------------------------------
     @classmethod
