@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .polynomial import RationalPoly, map_degree
+from .polynomial import RationalPoly, map_degree, map_invariant
 from .valuation import (
     INF,
     PreconditionError,
@@ -168,29 +168,10 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
     return DiscPoint(tay[0], rho_new, zeta.p)
 
 
-class _PreparedMap:
-    """A map's invariants, each filled on first use and kept on the map object
-    (``RationalPoly._prepared``); a failed computation stores nothing."""
-
-    growth_bound: float | None = None
-    denominator_primes: set[int] | None = None  # of the coefficients
-    arch: tuple | None = None  # (ad, s_low, r_esc, log_ad, kappa, lam)
-
-    def __init__(self) -> None:
-        self.local: dict[int, _LocalInvariants] = {}
-        self.coeffs_iv: dict[int, list] = {}  # prec -> interval coefficients
-
-
-def _prepared(phi: RationalPoly) -> _PreparedMap:
-    if phi._prepared is None:
-        phi._prepared = _PreparedMap()
-    return phi._prepared
-
-
 class _LocalInvariants:
-    """A map's invariants at the prime p: v_C, val(a_d), the least valuation
-    of a nonzero coefficient, the tail constant float(bound_q) * log(p) (the
-    left factor in _tail_bound_p) and whether every coefficient is p-integral."""
+    """phi's invariants at the prime p: v_C, val(a_d), the least coefficient
+    valuation, the tail constant float(bound_q) * log(p) (the left factor in
+    _tail_bound_p) and p-integrality.  Callers check the place and degree."""
 
     def __init__(self, phi: RationalPoly, p: int) -> None:
         d = phi.degree
@@ -205,14 +186,6 @@ class _LocalInvariants:
         self.integral = all(c.denominator % p for c in phi.coefficients)
 
 
-def _local(phi: RationalPoly, p: int) -> _LocalInvariants:
-    """phi's invariants at the prime p; callers check the place and degree."""
-    local = _prepared(phi).local
-    if p not in local:
-        local[p] = _LocalInvariants(phi, p)
-    return local[p]
-
-
 def escape_threshold(phi: RationalPoly, place) -> Fraction:
     """The critical valuation v_C below which orbits provably escape.
 
@@ -223,7 +196,7 @@ def escape_threshold(phi: RationalPoly, place) -> Fraction:
     """
     p = as_place(place).p
     map_degree(phi)
-    return _local(phi, p).v_c
+    return map_invariant(phi, _LocalInvariants, p).v_c
 
 
 # -- naive height growth -----------------------------------------------------
@@ -247,21 +220,24 @@ def _height_growth_bound(phi: RationalPoly) -> float:
     C = max(log(2 W |A_d|**(d-1)), d*log(R1*|A_d|)); B = C/(d-1).
     (Silverman, The Arithmetic of Dynamical Systems, section 3.4.)
     """
-    prep = _prepared(phi)
-    if prep.growth_bound is None:
-        d = phi.degree
-        w = math.lcm(*(c.denominator for c in phi.coefficients))
-        ints = [abs(int(c * w)) for c in phi.coefficients]
-        a_d = ints[-1]
-        s_low = sum(ints[:-1])
-        # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
-        # huge coefficients cannot overflow a float.
-        c_low = max(
-            math.log(2 * w) + (d - 1) * math.log(a_d),
-            d * math.log(max(a_d, 2 * s_low)),
-        )
-        prep.growth_bound = c_low / (d - 1)
-    return prep.growth_bound
+    d = phi.degree
+    w = math.lcm(*(c.denominator for c in phi.coefficients))
+    ints = [abs(int(c * w)) for c in phi.coefficients]
+    a_d = ints[-1]
+    s_low = sum(ints[:-1])
+    # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
+    # huge coefficients cannot overflow a float.
+    c_low = max(
+        math.log(2 * w) + (d - 1) * math.log(a_d),
+        d * math.log(max(a_d, 2 * s_low)),
+    )
+    return c_low / (d - 1)
+
+
+def _past_growth_bound(phi: RationalPoly, z: Fraction) -> bool:
+    """Whether h(z) exceeds phi's growth bound: from z on, the naive heights
+    of the orbit increase strictly, so it never repeats."""
+    return weil_height(z) > map_invariant(phi, _height_growth_bound) + 1e-9
 
 
 # -- filled Julia membership -------------------------------------------------
@@ -366,7 +342,7 @@ def filled_julia_membership(
     # phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
     # which computed valuations are guaranteed exact after all steps; the
     # extra d*negvc covers comparison slop in the radius update.
-    neg = max(0, math.ceil(-_local(phi, p).min_val))
+    neg = max(0, math.ceil(-map_invariant(phi, _LocalInvariants, p).min_val))
     negvc = max(0, math.ceil(-v_c))
     rho0_mag = 0 if zeta.is_type_i else 2 * math.ceil(abs(zeta.rho))
     loss_per_step = neg + (d - 1) * negvc
@@ -374,12 +350,11 @@ def filled_julia_membership(
     rho_trust = trust - d * negvc
     window = trust + (max_iter + 1) * loss_per_step
 
-    center_red = reduce_mod_prime_power(as_fraction(zeta.center), p, window)
+    center_red = reduce_mod_prime_power(zeta.center, p, window)
     rho = zeta.rho
     exact_center: Fraction | None = zeta.center if zeta.is_type_i else None
     certifiable = True
     seen: dict[tuple, int] = {}
-    growth_bound: float | None = None  # computed on first use
 
     for m in range(max_iter + 1):
         # Valuation of the current state; values at or above TRUST are only
@@ -397,11 +372,8 @@ def filled_julia_membership(
 
         # Checked from step 1 on, after the escape test, so orbits that
         # escape at once never pay for the bound.
-        if exact_center is not None and m >= 1:
-            if growth_bound is None:
-                growth_bound = _height_growth_bound(phi) + 1e-9
-            if weil_height(exact_center) > growth_bound:
-                exact_center = None  # the orbit can no longer repeat
+        if exact_center is not None and m >= 1 and _past_growth_bound(phi, exact_center):
+            exact_center = None  # the orbit can no longer repeat
 
         if certifiable:
             key: tuple | None = None
@@ -533,7 +505,7 @@ def max_point(phi: RationalPoly, a: RationalLike, place) -> MaxPointResult:
         probes += 1
         return filled_julia_membership(phi, DiscPoint(af, rho, p), MAX_POINT_ITER)
 
-    rho_floor = -val(phi.leading_coefficient, p) / Fraction(d - 1)
+    rho_floor = -map_invariant(phi, _LocalInvariants, p).vad / Fraction(d - 1)
     lo = rho_floor  # rho* >= rho_floor always; raised further by escapes
     lo_escaped = False
     hi: Fraction | None = None
@@ -586,6 +558,5 @@ def good_reduction(phi: RationalPoly, place) -> bool:
     """
     p = as_place(place).p
     map_degree(phi)
-    if val(phi.leading_coefficient, p) != 0:
-        return False
-    return all(val(c, p) >= 0 for c in phi.coefficients)
+    inv = map_invariant(phi, _LocalInvariants, p)
+    return inv.vad == 0 and inv.integral

@@ -29,9 +29,10 @@ of bounded naive height and tabulates their canonical heights.
 What depends on the map alone (per-prime valuation data and tail constants,
 the growth bound, the primes of the coefficient denominators, the
 archimedean escape radius and tail constants, and the interval coefficients
-at each precision) is computed on first use and kept on the map object, so
-a survey computes it once for all its points.  Every call still runs its
-own checks, and a failed computation is never stored.
+at each precision) is kept on the map object by
+``polynomial.map_invariant``, so a survey computes it once for all its
+points.  Every call still runs its own checks, and a failed computation is
+never stored.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from .berkovich import (
     Escaped,
     _check_max_iter,
     _height_growth_bound,
-    _local,
-    _prepared,
+    _LocalInvariants,
+    _past_growth_bound,
     escape_threshold,
     filled_julia_membership,
     weil_height,
 )
-from .polynomial import RationalPoly, map_degree
+from .polynomial import RationalPoly, map_degree, map_invariant
 from .primes import factorize
 from .valuation import (
     INF,
@@ -129,7 +130,7 @@ def local_escape_rate(
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
-    inv = _local(phi, p)
+    inv = map_invariant(phi, _LocalInvariants, p)
     if zeta.center.denominator % p and inv.integral:
         return _exact_zero()
 
@@ -145,10 +146,8 @@ def local_escape_rate(
 def _tail_bound_p(phi: RationalPoly, p: int, max_iter: int) -> float:
     """Upper bound for |g_p| given no escape within max_iter steps."""
     escape_threshold(phi, p)  # checks the place and degree
-    return (
-        _local(phi, p).tail_const * math.exp(-(max_iter) * math.log(phi.degree)) * 1.01
-        + 1e-300
-    )
+    tail_const = map_invariant(phi, _LocalInvariants, p).tail_const
+    return tail_const * math.exp(-(max_iter) * math.log(phi.degree)) * 1.01 + 1e-300
 
 
 # -- archimedean contribution -------------------------------------------------
@@ -213,6 +212,42 @@ def _fraction_upper(x: float) -> Fraction:
     return Fraction(math.nextafter(x, math.inf)) + Fraction(1, 1 << 40)
 
 
+class _ArchInvariants:
+    """phi's archimedean set-up, kept by ``map_invariant``: |a_d|, the sum
+    s_low of the other |a_i|, the escape radius r_esc, log|a_d|, the tail
+    constant kappa and the Lipschitz bound lam that sizes the precision."""
+
+    def __init__(self, phi: RationalPoly) -> None:
+        d = phi.degree
+        self.ad = ad = abs(phi.leading_coefficient)
+        if float(ad) == 0.0:
+            raise PreconditionError(
+                "leading coefficient underflows double precision; the escape "
+                "radius would need big-number logarithms"
+            )
+        self.s_low = s_low = sum(abs(c) for c in phi.coefficients[:-1])
+        # Escape radius: beyond R the leading term dominates (u <= 1/2), the
+        # modulus at least doubles each step, and the log recursion is valid.
+        r_candidates = [
+            Fraction(1),
+            (2 * s_low + 2) / ad,
+            _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
+        ]
+        self.r_esc = r_esc = max(r_candidates) * Fraction(9, 8)
+        # First-crossing magnitude bound and the tail constant.
+        r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
+        self.log_ad = math.log(float(ad))
+        self.kappa = math.log(r1) + abs(self.log_ad) / (d - 1) + 1.0
+        # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
+        self.lam = float(sum(i * abs(c) for i, c in enumerate(phi.coefficients))) * float(
+            max(r_esc, 1) ** (d - 1)
+        ) + 2.0
+
+
+def _coeffs_iv(phi: RationalPoly, prec: int) -> list[_FixIv]:
+    return [_FixIv.from_fraction(c, prec) for c in phi.coefficients]
+
+
 def archimedean_escape_rate(
     phi: RationalPoly, x: RationalLike, error_budget: float = 1e-9
 ) -> LocalContribution:
@@ -234,46 +269,15 @@ def archimedean_escape_rate(
             "higher-precision logarithms is required"
         )
     xf = as_fraction(x)
-    prep = _prepared(phi)
     # A map or point beyond double range makes a float conversion or power
     # below raise OverflowError.
     try:
-        if prep.arch is None:
-            ad = abs(phi.leading_coefficient)
-            if float(ad) == 0.0:
-                raise PreconditionError(
-                    "leading coefficient underflows double precision; the escape "
-                    "radius would need big-number logarithms"
-                )
-            s_low = sum(abs(c) for c in phi.coefficients[:-1])
-
-            # Escape radius: beyond R the leading term dominates (u <= 1/2), the
-            # modulus at least doubles each step, and the log recursion is valid.
-            r_candidates = [
-                Fraction(1),
-                (2 * s_low + 2) / ad,
-                _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
-            ]
-            r_esc = max(r_candidates) * Fraction(9, 8)
-            # First-crossing magnitude bound and the tail constant.
-            r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
-            log_ad = math.log(float(ad))
-            kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
-            # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
-            lam = float(sum(i * abs(c) for i, c in enumerate(phi.coefficients))) * float(
-                max(r_esc, 1) ** (d - 1)
-            ) + 2.0
-            prep.arch = (ad, s_low, r_esc, log_ad, kappa, lam)
-        ad, s_low, r_esc, log_ad, kappa, lam = prep.arch
-        steps = max(1, math.ceil(math.log(kappa / error_budget) / math.log(d))) + 1
-        prec = 64 + steps * max(1, math.ceil(math.log2(lam + 2)))
-        ivs = prep.coeffs_iv
+        arch = map_invariant(phi, _ArchInvariants)
+        steps = max(1, math.ceil(math.log(arch.kappa / error_budget) / math.log(d))) + 1
+        prec = 64 + steps * max(1, math.ceil(math.log2(arch.lam + 2)))
         for _ in range(8):
-            if prec not in ivs:
-                ivs[prec] = [_FixIv.from_fraction(c, prec) for c in phi.coefficients]
-            result = _arch_attempt(
-                ivs[prec], xf, error_budget, steps, prec, r_esc, kappa, log_ad, s_low, ad
-            )
+            coeffs_iv = map_invariant(phi, _coeffs_iv, prec)
+            result = _arch_attempt(coeffs_iv, xf, error_budget, steps, prec, arch)
             if result is not None:
                 return result
             prec *= 2
@@ -294,11 +298,7 @@ def _arch_attempt(
     budget: float,
     steps: int,
     prec: int,
-    r_esc: Fraction,
-    kappa: float,
-    log_ad: float,
-    s_low: Fraction,
-    ad: Fraction,
+    arch: _ArchInvariants,
 ) -> LocalContribution | None:
     d = len(coeffs_iv) - 1
     xiv = _FixIv.from_fraction(x, prec)
@@ -306,14 +306,14 @@ def _arch_attempt(
     # it; entering the escape branch at this lower gate keeps an orbit value
     # exactly equal to r_esc (where the outward enclosure can never clear the
     # radius at any precision) from stalling the certificate.
-    r_gate = r_esc * Fraction((1 << 20) - 1, 1 << 20)
+    r_gate = arch.r_esc * Fraction((1 << 20) - 1, 1 << 20)
     m = 0
     while m <= steps + 80:
         alo, ahi = xiv.abs_bounds()
         if alo >= r_gate:
             # Escaped.  Keep iterating until the tail constant u is small
             # enough that the remaining correction fits the budget.
-            u_up = float(s_low / (ad * alo)) * 1.02 + 1e-300
+            u_up = float(arch.s_low / (arch.ad * alo)) * 1.02 + 1e-300
             damp = math.exp(-m * math.log(d))
             if u_up * damp * 8.0 > budget and m <= steps + 78:
                 xiv = _poly_eval_iv(coeffs_iv, xiv)
@@ -325,18 +325,18 @@ def _arch_attempt(
             ylo -= slop
             yhi += slop
             tail = 4.0 * u_up * damp / d
-            value = damp * ((ylo + yhi) / 2 + log_ad / (d - 1))
+            value = damp * ((ylo + yhi) / 2 + arch.log_ad / (d - 1))
             half_width = damp * (yhi - ylo) / 2
             err = half_width + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
             if err > budget:
                 return None  # escalate precision
             return LocalContribution(max(value, 0.0), err, None, m)
-        if ahi > r_esc:
+        if ahi > arch.r_esc:
             return None  # enclosure straddles the escape radius: escalate
         if m >= steps:
             # Certified below the radius for `steps` steps: any later escape
             # contributes at most d**-steps * kappa.
-            bound = math.exp(-steps * math.log(d)) * kappa * 1.01
+            bound = math.exp(-steps * math.log(d)) * arch.kappa * 1.01
             return LocalContribution(0.0, min(bound, budget), None, None)
         xiv = _poly_eval_iv(coeffs_iv, xiv)
         m += 1
@@ -371,7 +371,7 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
     """
     map_degree(phi)
     z = as_fraction(x)
-    bound = _height_growth_bound(phi)
+    bound = map_invariant(phi, _height_growth_bound)
     seen: dict[Fraction, int] = {}
     for k in range(_PREPERIODIC_ITERATION_GUARD):
         if z in seen:
@@ -379,7 +379,7 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
                 True, seen[z], k - seen[z], None, bound
             )
         seen[z] = k
-        if weil_height(z) > bound + 1e-9:
+        if _past_growth_bound(phi, z):
             return PreperiodicityCertificate(False, None, None, k, bound)
         z = phi(z)
     raise PreconditionError(
@@ -417,11 +417,12 @@ class HeightResult:
 
 def _active_primes(phi: RationalPoly, x: Fraction) -> list[int]:
     """Primes where x or a coefficient is non-integral; all others give 0."""
-    prep = _prepared(phi)
-    if prep.denominator_primes is None:
-        dens = (c.denominator for c in phi.coefficients)
-        prep.denominator_primes = set().union(*map(factorize, dens))
-    return sorted(prep.denominator_primes.union(factorize(x.denominator)))
+    return sorted(map_invariant(phi, _denominator_primes).union(factorize(x.denominator)))
+
+
+def _denominator_primes(phi: RationalPoly) -> frozenset[int]:
+    """The primes dividing a coefficient's denominator."""
+    return frozenset().union(*map(factorize, (c.denominator for c in phi.coefficients)))
 
 
 def canonical_height(

@@ -34,7 +34,7 @@ class RationalPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
-        self._prepared = None  # berkovich._PreparedMap, filled on first use
+        self._prepared = None  # map_invariant's dict, made on first use
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -239,6 +239,18 @@ def map_degree(phi: RationalPoly) -> int:
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")
     return phi.degree
+
+
+def map_invariant(phi: RationalPoly, make, *args):
+    """make(phi, *args) for a value that depends on the map alone, computed
+    once per map object and kept on it.  A computation that raises stores
+    nothing; callers run their own checks before every lookup."""
+    if phi._prepared is None:
+        phi._prepared = {}
+    key = (make, *args)
+    if key not in phi._prepared:
+        phi._prepared[key] = make(phi, *args)
+    return phi._prepared[key]
 
 
 def format_polynomial(poly: RationalPoly) -> str:
