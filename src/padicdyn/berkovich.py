@@ -316,13 +316,14 @@ def filled_julia_membership(
     same disc recurs, certifying a cycle and hence membership.
     BoundedUpTo(n): neither event within the n verified steps.
 
-    Centers are reduced modulo p**W each step; W is provisioned so that
-    every valuation compared against the threshold, and every canonical
-    form used for cycle detection, is provably the true one.  Type I
-    points also carry the exact center for cycle detection until, at some
-    step m >= 1, its naive height passes the growth bound of
-    ``_height_growth_bound``: from there on heights increase strictly, so
-    the orbit provably never repeats and only escape detection continues.
+    Centers are reduced modulo p**W once their numerator or denominator
+    exceeds p**W; W is provisioned so that every valuation compared against
+    the threshold, and every canonical form used for cycle detection, is
+    provably the true one.  Type I points also carry the exact center for
+    cycle detection until, at some step m >= 1, its naive height passes the
+    growth bound of ``_height_growth_bound``: from there on heights increase
+    strictly, so the orbit provably never repeats and only escape detection
+    continues.
     If a disc orbit outruns the window (enormous radii), cycle
     certification is disabled for the remaining steps but escape detection
     stays sound.
@@ -350,7 +351,16 @@ def filled_julia_membership(
     rho_trust = trust - d * negvc
     window = trust + (max_iter + 1) * loss_per_step
 
-    center_red = reduce_mod_prime_power(zeta.center, p, window)
+    # A center is a number congruent to itself, so it stays as it is until
+    # it grows past p**W; reducing small centers would only enlarge them.
+    size = p**window
+
+    def small(x: Fraction) -> Fraction:
+        if abs(x.numerator) <= size and x.denominator <= size:
+            return x
+        return reduce_mod_prime_power(x, p, window)
+
+    center_red = small(zeta.center)
     rho = zeta.rho
     exact_center: Fraction | None = zeta.center if zeta.is_type_i else None
     certifiable = True
@@ -398,7 +408,7 @@ def filled_julia_membership(
         if not is_finite(rho):
             if exact_center is not None:
                 exact_center = phi(exact_center)
-            center_red = reduce_mod_prime_power(phi(center_red), p, window)
+            center_red = small(phi(center_red))
         else:
             tay = phi.taylor_coefficients(center_red)
             rho_new: Valuation = INF
@@ -411,7 +421,7 @@ def filled_julia_membership(
             if is_finite(rho_new) and rho_new >= rho_trust:
                 certifiable = False
             rho = rho_new
-            center_red = reduce_mod_prime_power(tay[0], p, window)
+            center_red = small(tay[0])
 
     return BoundedUpTo(max_iter)
 

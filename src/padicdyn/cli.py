@@ -35,7 +35,7 @@ from .bounds import bound_table, bounds_to_csv, find_crossover
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
 from .polynomial import DEFAULT_DEGREE_CAP, RationalPoly
-from .valuation import INF, Place, PreconditionError, is_finite, val
+from .valuation import INF, Place, PreconditionError, as_fraction, is_finite, val
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,9 +176,9 @@ def parse_polynomial(text: str) -> RationalPoly:
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolynomialSyntaxError(f"not a rational number: {text!r}", 0) from exc
+        return as_fraction(text)
+    except PreconditionError as exc:
+        raise PolynomialSyntaxError(str(exc), 0) from None
 
 
 def _parse_rho(text: str):

@@ -234,10 +234,20 @@ class RationalPoly:
         return sorted(roots)
 
 
+# Every dynamics entry point refuses maps above this degree: the CLI grammar
+# lets a short argument build a polynomial of degree up to DEFAULT_DEGREE_CAP.
+MAP_DEGREE_MAX = 256
+
+
 def map_degree(phi: RationalPoly) -> int:
-    """Degree d of phi as a dynamical map; every dynamics entry point needs d >= 2."""
+    """Degree d of phi as a dynamical map; every dynamics entry point needs
+    2 <= d <= MAP_DEGREE_MAX."""
     if phi.is_zero or phi.degree < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")
+    if phi.degree > MAP_DEGREE_MAX:
+        raise PreconditionError(
+            f"map degree {phi.degree} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
+        )
     return phi.degree
 
 

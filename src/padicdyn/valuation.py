@@ -15,6 +15,7 @@ the value group of the induced valuation on a ramified extension is
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -106,15 +107,25 @@ def is_finite(v: Valuation) -> bool:
 
 RationalLike = Union[int, Fraction, str]
 
+# ASCII digits only: no exponent, decimal point, underscore or whitespace, so
+# a short string cannot stand for a huge number.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'num/den' string to an exact Fraction."""
+    """Coerce an int, Fraction, or '[sign]num[/den]' string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        match = _RATIONAL_TEXT.fullmatch(x)
+        if match is not None:
+            try:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # the int digit limit, or den 0
+                pass
+        raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
     raise TypeError(f"not an exact rational: {x!r}")
 
 

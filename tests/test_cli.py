@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from padicdyn import (
 )
 from padicdyn.bogomolov import certificate_from_json_dict
 from padicdyn.newton import polygon_from_json_dict
-from padicdyn.polynomial import DEFAULT_DEGREE_CAP
+from padicdyn.polynomial import DEFAULT_DEGREE_CAP, MAP_DEGREE_MAX
 
 
 class TestParsePolynomial:
@@ -185,11 +186,21 @@ class TestExitCodes:
                 ["disc-eval", "X^2", "--prime", "2", "--center", "0", "--rho", "-512"],
                 "beyond double precision range",
             ),
+            (["height", f"X^{MAP_DEGREE_MAX + 1}+1", "2"], "MAP_DEGREE_MAX"),
         ],
     )
     def test_out_of_range_input_exits_three(self, argv, message, capsys):
         assert run(argv) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e-200000", "1e50000000"])
+    def test_exponent_notation_rational_exits_two(self, text, capsys):
+        # Fraction(text) would build 10**200000 and more, past any size check
+        started = time.monotonic()
+        assert run(["height", "X^2+1", text]) == 2
+        assert run(["member", "X^2", "--prime", "2", "--center", text, "--rho", "0"]) == 2
+        assert time.monotonic() - started < 1.0
+        assert capsys.readouterr().err.count("not a rational number") == 2
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -251,6 +262,23 @@ class TestSubcommandOutput:
         ) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"verdict": "escaped", "step": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["member", "X^32+1/7", "--prime", "7", "--center", "1/3", "--rho", "1/2",
+             "--max-iter", "2048"],
+            ["member", "X^256+1/2", "--prime", "2", "--center", "1/3", "--rho", "inf"],
+        ],
+    )
+    def test_member_keeps_small_centers_small(self, argv, capsys):
+        # Reduced modulo the full p-adic window before the first step, 1/3
+        # would become a number of about 10**5 bits, and each call would
+        # take about 50 s.
+        started = time.monotonic()
+        assert run(argv) == 0
+        assert time.monotonic() - started < 5.0
+        assert capsys.readouterr().out == '{"verdict": "escaped", "step": 1}\n'
 
     def test_mphi(self, capsys):
         assert run(["mphi", "X^2", "--fixed", "0", "--prime", "2"]) == 0
@@ -400,7 +428,7 @@ _FUZZ_RATIONALS = st.one_of(
     st.builds("{}/{}".format, st.integers(-60, 60), st.integers(0, 60)),
     st.sampled_from(
         ["inf", "nan", "-inf", "1e400", "x", "", "2.5", "1/0", "1024", "1025", "-1025",
-         "-600"]
+         "-600", "1e-200000", "1e50000000"]
     ),
 )
 _FUZZ_INTS = st.one_of(

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,6 +276,45 @@ def test_archimedean_escape_rate_within_bound_of_mpmath_orbit():
             g, tol = _mp_escape_rate(phi, x)
             miss = abs(mpmath.mpf(value) - g) - tol
             assert miss <= err, (phi, x, budget, value, err, g)
+
+
+def test_canonical_height_within_bound_of_independent_oracles():
+    # Seeded random maps and points, a quarter of them fixed points.  The
+    # oracle sums the mpmath archimedean orbit and the exact unreduced-orbit
+    # rate at every prime of a denominator (found by sympy); points whose
+    # orbit neither escapes nor repeats within six exact steps are skipped.
+    rng = random.Random(2026)
+    decided = fixed = 0
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        lead = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        phi = RationalPoly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)] + [lead])
+        x = F(rng.randint(-40, 40), rng.randint(1, 12))
+        if rng.random() < 0.25:
+            phi = phi + RationalPoly.constant(x - phi(x))
+        eps = rng.choice([1e-6, 1e-9, 1e-11])
+        res = canonical_height(phi, x, eps)
+        primes = sympy.primefactors(
+            math.lcm(x.denominator, *(c.denominator for c in phi.coefficients))
+        )
+        assert set(res.local_parts) == {"inf", *map(str, primes)}
+        assert res.error_bound <= eps
+        if res.preperiodic:
+            fixed += 1
+            for part in res.local_parts.values():
+                assert (part.value, part.error_bound, part.log_p_multiple) == (0.0, 0.0, 0)
+        rates = [exact_orbit_rate(phi, x, p, 6)[2] for p in primes]
+        if None in rates:
+            continue
+        decided += 1
+        g, tol = _mp_escape_rate(phi, x)
+        oracle = g + sum(mpmath.mpf(q.numerator) / q.denominator * mpmath.log(p)
+                         for q, p in zip(rates, primes))
+        # each exact place's float value is q * log p rounded, a few ulps off
+        rounding = 4 * len(primes) * math.ulp(1.0 + abs(res.value))
+        miss = abs(mpmath.mpf(res.value) - oracle) - tol - rounding
+        assert miss <= res.error_bound, (phi, x, eps, res, oracle)
+    assert decided >= 120 and fixed >= 25, (decided, fixed)
 
 
 def _outcome(call, *args):

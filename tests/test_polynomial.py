@@ -23,7 +23,7 @@ from padicdyn import (
     max_point,
     survey,
 )
-from padicdyn.polynomial import map_degree
+from padicdyn.polynomial import MAP_DEGREE_MAX, map_degree
 
 
 def P(*ascending):
@@ -214,9 +214,18 @@ _MAP_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("low", [P(), P(3), P(1, 1)], ids=["zero", "constant", "X+1"])
+_LOW = "dynamics requires a polynomial of degree >= 2"
+_HIGH = f"map degree {MAP_DEGREE_MAX + 1} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(P(), _LOW), (P(3), _LOW), (P(1, 1), _LOW),
+     (RationalPoly.monomial(MAP_DEGREE_MAX + 1), _HIGH)],
+    ids=["zero", "constant", "X+1", "above-cap"],
+)
 @pytest.mark.parametrize("name", sorted(_MAP_TAKERS))
-def test_every_map_argument_is_checked_alike(name, low):
+def test_every_map_argument_is_checked_alike(name, bad, message):
     with pytest.raises(PreconditionError) as err:
-        _MAP_TAKERS[name](low)
-    assert str(err.value) == "dynamics requires a polynomial of degree >= 2"
+        _MAP_TAKERS[name](bad)
+    assert str(err.value) == message

@@ -252,3 +252,11 @@ class TestAsFraction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)
+
+    def test_strings_are_sign_num_den_only(self):
+        assert as_fraction("-12/8") == F(-3, 2) and as_fraction("+7") == F(7)
+        # exponents would build 10**50000000 before any size check
+        for text in ("1e-200000", "1e50000000", "2.5", " 1/2", "1_000", "1/-2",
+                     "\u0661", "1/0", "1" * 5001, "", "inf"):
+            with pytest.raises(PreconditionError, match="not a rational number"):
+                as_fraction(text)
