@@ -64,10 +64,7 @@ class DiscPoint:
 
     def canonical_key(self) -> tuple:
         """A hashable key equal for exactly the equal disc points."""
-        if self.is_type_i:
-            return ("I", self.p, self.center)
-        k = math.ceil(self.rho)
-        return ("II", self.p, self.rho, reduce_mod_prime_power(self.center, self.p, k))
+        return (self.p, *_disc_key(self.center, self.rho, self.p))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscPoint):
@@ -92,9 +89,17 @@ class DiscPoint:
         return json.dumps(self.to_json_dict())
 
 
+def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
+    """(rho, center mod p**ceil(rho)), or (INF, center) for a type I point:
+    equal for exactly the equal disc points at the prime p."""
+    if not is_finite(rho):
+        return (rho, center)
+    return (rho, reduce_mod_prime_power(center, p, math.ceil(rho)))
+
+
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
-    rho: Valuation = INF if data["rho"] == "inf" else Fraction(data["rho"])
-    return DiscPoint(Fraction(data["center"]), rho, int(data["p"]))
+    rho = INF if data["rho"] == "inf" else data["rho"]
+    return DiscPoint(data["center"], rho, int(data["p"]))
 
 
 def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
@@ -319,11 +324,11 @@ def filled_julia_membership(
     Centers are reduced modulo p**W once their numerator or denominator
     exceeds p**W; W is provisioned so that every valuation compared against
     the threshold, and every canonical form used for cycle detection, is
-    provably the true one.  Type I points also carry the exact center for
-    cycle detection until, at some step m >= 1, its naive height passes the
-    growth bound of ``_height_growth_bound``: from there on heights increase
-    strictly, so the orbit provably never repeats and only escape detection
-    continues.
+    provably the true one.  A type I center stays exact while the orbit can
+    repeat: until, at some step m >= 1, its naive height passes the growth
+    bound of ``_height_growth_bound``.  From there on heights increase
+    strictly, so the orbit provably never repeats; the center is reduced
+    like a disc center and only escape detection continues.
     If a disc orbit outruns the window (enormous radii), cycle
     certification is disabled for the remaining steps but escape detection
     stays sound.
@@ -360,57 +365,40 @@ def filled_julia_membership(
             return x
         return reduce_mod_prime_power(x, p, window)
 
-    center_red = small(zeta.center)
+    # A type I center stays exact while the orbit can repeat: a reduced one
+    # could give two distinct points the same cycle key.
+    center = zeta.center if zeta.is_type_i else small(zeta.center)
     rho = zeta.rho
-    exact_center: Fraction | None = zeta.center if zeta.is_type_i else None
     certifiable = True
     seen: dict[tuple, int] = {}
 
     for m in range(max_iter + 1):
-        # Valuation of the current state; values at or above TRUST are only
-        # known to be large, which suffices (TRUST > v_C by construction).
-        cv = val(center_red, p)
-        cv_known = is_finite(cv) and cv < trust
-        rho_known = is_finite(rho) and rho < rho_trust
-        t: Valuation = INF
-        if cv_known:
-            t = cv
-        if rho_known:
-            t = rho if not is_finite(t) else min(t, rho)
-        if is_finite(t) and t < v_c:
+        # A computed value at or above trust (rho_trust for rho) is only known
+        # to be large; both exceed v_C, so such a value never passes the test
+        # and one that does is the true value.
+        t = min(val(center, p), rho)
+        if t < v_c:
             return Escaped(m, t)
 
-        # Checked from step 1 on, after the escape test, so orbits that
-        # escape at once never pay for the bound.
-        if exact_center is not None and m >= 1 and _past_growth_bound(phi, exact_center):
-            exact_center = None  # the orbit can no longer repeat
-
         if certifiable:
-            key: tuple | None = None
-            if not is_finite(rho):
-                if exact_center is not None:
-                    key = ("I", exact_center)
+            # Checked from step 1 on, after the escape test, so orbits that
+            # escape at once never pay for the bound.
+            if zeta.is_type_i and m >= 1 and _past_growth_bound(phi, center):
+                certifiable = False  # the orbit can no longer repeat
             else:
-                kk = math.ceil(rho)
-                if kk <= trust:
-                    key = ("II", rho, reduce_mod_prime_power(center_red, p, kk))
-            if key is not None:
+                key = _disc_key(center, rho, p)
                 if key in seen:
                     return BoundedCertified(seen[key], m - seen[key])
                 seen[key] = m
-            else:
-                certifiable = False
 
         if m == max_iter:
             break
 
         # Advance one step.
         if not is_finite(rho):
-            if exact_center is not None:
-                exact_center = phi(exact_center)
-            center_red = small(phi(center_red))
+            center = phi(center) if certifiable else small(phi(center))
         else:
-            tay = phi.taylor_coefficients(center_red)
+            tay = phi.taylor_coefficients(center)
             rho_new: Valuation = INF
             for n in range(1, len(tay)):
                 if tay[n] == 0:
@@ -418,10 +406,10 @@ def filled_julia_membership(
                 term = n * rho + val(tay[n], p)
                 if term < rho_new:
                     rho_new = term
-            if is_finite(rho_new) and rho_new >= rho_trust:
+            if rho_new >= rho_trust:
                 certifiable = False
             rho = rho_new
-            center_red = small(tay[0])
+            center = small(tay[0])
 
     return BoundedUpTo(max_iter)
 

@@ -104,12 +104,12 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
         Verdict.STRONG_BOGOMOLOV,
         place,
         polygon,
-        witness_slope=Fraction(witness["slope"]),
+        witness_slope=as_fraction(witness["slope"]),
         witness_segment=(
-            (int(seg[0][0]), Fraction(seg[0][1])),
-            (int(seg[1][0]), Fraction(seg[1][1])),
+            (int(seg[0][0]), as_fraction(seg[0][1])),
+            (int(seg[1][0]), as_fraction(seg[1][1])),
         ),
-        julia_point_valuation=Fraction(witness["zeta_of_X_valuation"]),
+        julia_point_valuation=as_fraction(witness["zeta_of_X_valuation"]),
         abstract_coefficients=bool(data.get("abstract", False)),
     )
 

@@ -60,9 +60,9 @@ class NewtonPolygon:
 
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:
     """Inverse of NewtonPolygon.to_json_dict (exact round-trip)."""
-    vertices = tuple((int(i), Fraction(v)) for i, v in data["vertices"])
+    vertices = tuple((int(i), as_fraction(v)) for i, v in data["vertices"])
     segments = tuple(
-        Segment(Fraction(s["slope"]), int(s["length"])) for s in data["segments"]
+        Segment(as_fraction(s["slope"]), int(s["length"])) for s in data["segments"]
     )
     return NewtonPolygon(vertices, segments)
 

@@ -2,9 +2,10 @@
 
 Coefficients are ``fractions.Fraction`` stored ascending by degree.  The
 operations that matter for dynamics are exact evaluation, composition and
-iteration, Taylor expansion about a point (by repeated synthetic division,
-never by differentiating and dividing by factorials), and the rational
-fixed points of a map (rational root theorem plus exact verification).
+iteration, Taylor expansion about a point (by an in-place Taylor shift,
+never by differentiating and dividing by factorials, and refused above
+degree MAP_DEGREE_MAX), and the rational fixed points of a map (rational
+root theorem plus exact verification).
 """
 
 from __future__ import annotations
@@ -146,27 +147,24 @@ class RationalPoly:
     def taylor_coefficients(self, a: RationalLike) -> list[Fraction]:
         """Coefficients c_0..c_d with P(X) = sum c_n (X - a)**n.
 
-        Computed by repeated synthetic division by (X - a): each round's
-        remainder is the next Taylor coefficient.  Exact, and free of the
-        factorial divisions of the derivative formula.
+        Computed by the in-place Taylor shift, d(d+1)/2 multiply-adds on one
+        list: exact, and free of the factorial divisions of the derivative
+        formula.  Refuses degree d > MAP_DEGREE_MAX, since every disc
+        seminorm and pushforward runs this O(d**2) kernel.
         """
         af = as_fraction(a)
-        work = list(self._coeffs)
-        if not work:
+        c = list(self._coeffs)
+        if not c:
             return [Fraction(0)]
-        out: list[Fraction] = []
-        for _ in range(len(self._coeffs)):
-            # One synthetic-division pass: quotient accumulates in place,
-            # the final carry is the remainder, i.e. the next coefficient.
-            quot: list[Fraction] = [Fraction(0)] * (len(work) - 1)
-            carry = Fraction(0)
-            for i in reversed(range(len(work))):
-                carry = work[i] + af * carry
-                if i > 0:
-                    quot[i - 1] = carry
-            out.append(carry)
-            work = quot
-        return out
+        d = len(c) - 1
+        if d > MAP_DEGREE_MAX:
+            raise PreconditionError(
+                f"Taylor expansion of degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
+            )
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += af * c[j + 1]
+        return c
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
         """self(inner(X)), by Horner's rule in the polynomial ring."""

@@ -1,6 +1,7 @@
 """Disc points, seminorms, containment order, dynamics on discs."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -28,6 +29,7 @@ from padicdyn import (
     max_point,
     noncontainment_witness,
     pushforward,
+    reduce_mod_prime_power,
     seminorm,
     val,
     verdict_to_json_dict,
@@ -74,6 +76,13 @@ class TestDiscPoint:
         for zeta in (DiscPoint(F(7, 3), F(-2, 5), 3), DiscPoint(F(1), INF, 2)):
             data = json.loads(json.dumps(zeta.to_json_dict()))
             assert disc_point_from_json_dict(data) == zeta
+
+    @pytest.mark.parametrize("text", ["1e-200000", "1.5", " 1 "])
+    def test_json_reader_refuses_non_rational_text(self, text):
+        # Fraction(text) would take each of these, and the first builds 10**200000
+        for data in ({"center": text, "rho": "0", "p": 2}, {"center": "0", "rho": text, "p": 2}):
+            with pytest.raises(PreconditionError, match="not a rational number"):
+                disc_point_from_json_dict(data)
 
 
 class TestSeminorm:
@@ -368,6 +377,62 @@ class TestFilledJuliaMembership:
         # cutoff must still be computed without overflow
         phi = P(10**400, 0, 1)
         assert filled_julia_membership(phi, DiscPoint(0, INF, 2), 8) == BoundedUpTo(8)
+
+    @staticmethod
+    def _replay(phi, zeta, max_iter):
+        """The verdict of an exact orbit replay, or None once a radius
+        valuation reaches 64, where membership stops certifying by design.
+
+        Discs go through pushforward, re-centered at their center mod
+        p**ceil(rho) (any center of a disc has the same image); type I
+        points are never reduced."""
+        p = zeta.p
+        v_c = escape_threshold(phi, p)
+        states = []
+        for m in range(max_iter + 1):
+            if not zeta.is_type_i and zeta.rho >= 64:
+                return None
+            t = min(val(zeta.center, p), zeta.rho)
+            if t < v_c:
+                return Escaped(m, t)
+            if zeta in states:
+                k = states.index(zeta)
+                return BoundedCertified(k, m - k)
+            states.append(zeta)
+            zeta = pushforward(phi, zeta)
+            if not zeta.is_type_i:
+                center = reduce_mod_prime_power(zeta.center, p, math.ceil(zeta.rho))
+                zeta = DiscPoint(center, zeta.rho, p)
+        return BoundedUpTo(max_iter)
+
+    def test_verdicts_match_exact_replay(self):
+        rng = random.Random(53)
+        seen = {Escaped: 0, BoundedCertified: 0, BoundedUpTo: 0}
+        skipped = 0
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7])
+            d = rng.randint(2, 4)
+            # integral maps half the time, so that discs often cycle
+            dmax = 1 if rng.random() < 0.5 else 4
+            cs = [rand_fraction(rng, -9, 9, dmax) for _ in range(d)]
+            phi = RationalPoly(cs + [F(rng.choice([1, -1, 2, 3, p]), rng.randint(1, dmax))])
+            center = rand_fraction(rng, -20, 20, dmax)
+            if rng.random() < 0.3:
+                rho, max_iter = INF, rng.randint(1, 6)
+            else:
+                rho, max_iter = F(rng.randint(-6, 8), 2), rng.randint(1, 12)
+            zeta = DiscPoint(center, rho, p)
+            expected = self._replay(phi, zeta, max_iter)
+            if expected is None:
+                skipped += 1
+                continue
+            verdict = filled_julia_membership(phi, zeta, max_iter)
+            assert verdict == expected, (phi, zeta, max_iter)
+            if isinstance(expected, Escaped):
+                assert verdict.valuation == expected.valuation
+            seen[type(expected)] += 1
+        assert min(seen.values()) >= 40, seen
+        assert skipped <= 40
 
     def test_verdict_serialization(self):
         assert verdict_to_json_dict(Escaped(3)) == {"verdict": "escaped", "step": 3}

@@ -220,6 +220,24 @@ class TestCertificateData:
         assert again.polygon == cert.polygon
         assert again.to_json_dict() == data
 
+    @pytest.mark.parametrize("text", ["1e-200000", "1.5", " 1 "])
+    def test_reader_refuses_non_rational_text(self, text):
+        cert = check_criterion(parse_polynomial("X^5+X^2+X+1/2"), Place(2))
+        for *path, last in [
+            ("witness", "slope"),
+            ("witness", "segment", 0, 1),
+            ("witness", "segment", 1, 1),
+            ("witness", "zeta_of_X_valuation"),
+            ("polygon", "vertices", 0, 1),
+        ]:
+            data = json.loads(cert.to_json())
+            node = data
+            for key in path:
+                node = node[key]
+            node[last] = text
+            with pytest.raises(PreconditionError, match="not a rational number"):
+                certificate_from_json_dict(data)
+
     def test_inconclusive_round_trip(self):
         cert = check_criterion(P(3, 0, 1), Place(5))
         again = certificate_from_json_dict(json.loads(cert.to_json()))

@@ -187,11 +187,24 @@ class TestExitCodes:
                 "beyond double precision range",
             ),
             (["height", f"X^{MAP_DEGREE_MAX + 1}+1", "2"], "MAP_DEGREE_MAX"),
+            (
+                ["disc-eval", "X^9999+1", "--prime", "2", "--center", "1/3", "--rho", "1"],
+                "MAP_DEGREE_MAX",
+            ),
         ],
     )
     def test_out_of_range_input_exits_three(self, argv, message, capsys):
         assert run(argv) == 3
         assert message in capsys.readouterr().err
+
+    def test_degree_cap_is_on_discs_only(self):
+        # a disc seminorm is an O(d**2) Taylor expansion, refused at once;
+        # a type I seminorm is one Horner evaluation and stays uncapped
+        argv = ["disc-eval", "X^9999+1", "--prime", "2", "--center", "1/3", "--rho"]
+        started = time.monotonic()
+        assert run(argv + ["1"]) == 3
+        assert time.monotonic() - started < 1.0
+        assert run(argv + ["inf"]) == 0
 
     @pytest.mark.parametrize("text", ["1e-200000", "1e50000000"])
     def test_exponent_notation_rational_exits_two(self, text, capsys):

@@ -213,6 +213,16 @@ class TestSerialization:
         assert again == polygon
         assert isinstance(again, NewtonPolygon)
 
+    @pytest.mark.parametrize("text", ["1e-200000", "1.5", " 1 "])
+    def test_reader_refuses_non_rational_text(self, text):
+        # Fraction(text) would take each of these, and the first builds 10**200000
+        for data in (
+            {"vertices": [[0, text], [2, "0"]], "segments": [{"slope": "1/2", "length": 2}]},
+            {"vertices": [[0, "-1"], [2, "0"]], "segments": [{"slope": text, "length": 2}]},
+        ):
+            with pytest.raises(PreconditionError, match="not a rational number"):
+                polygon_from_json_dict(data)
+
     def test_json_uses_exact_strings(self):
         polygon = newton_polygon([(0, F(-1, 3)), (2, F(0))])
         data = polygon.to_json_dict()

@@ -1,5 +1,6 @@
 """Exact polynomial ring: evaluation, Taylor shifts, iteration, fixed points."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -75,6 +76,14 @@ class TestTaylorCoefficients:
     def test_cubic_about_two(self):
         # X^3 - 2X + 5 about a=2, coefficients of (X-2)^n
         assert P(5, -2, 0, 1).taylor_coefficients(F(2)) == [F(9), F(10), F(6), F(1)]
+
+    def test_degree_cap(self):
+        # every disc seminorm and pushforward runs this O(d**2) kernel
+        binomials = [math.comb(MAP_DEGREE_MAX, n) for n in range(MAP_DEGREE_MAX + 1)]
+        assert RationalPoly.monomial(MAP_DEGREE_MAX).taylor_coefficients(1) == binomials
+        with pytest.raises(PreconditionError) as err:
+            RationalPoly.monomial(MAP_DEGREE_MAX + 1).taylor_coefficients(1)
+        assert str(err.value) == "Taylor expansion of degree 257 exceeds MAP_DEGREE_MAX = 256"
 
     @given(
         st.lists(st.fractions(max_denominator=50), min_size=1, max_size=7),
