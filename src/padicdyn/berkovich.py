@@ -25,12 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .polynomial import RationalPoly, map_degree, map_invariant
+from .polynomial import RationalPoly, _integer_form, map_degree, map_invariant
 from .valuation import (
     INF,
     PreconditionError,
     RationalLike,
     Valuation,
+    _json_int,
+    _json_rational,
     as_fraction,
     as_place,
     is_finite,
@@ -98,8 +100,8 @@ def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
 
 
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
-    rho = INF if data["rho"] == "inf" else data["rho"]
-    return DiscPoint(data["center"], rho, int(data["p"]))
+    rho = INF if data["rho"] == "inf" else _json_rational(data["rho"])
+    return DiscPoint(_json_rational(data["center"]), rho, _json_int(data["p"], "p"))
 
 
 def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
@@ -226,10 +228,9 @@ def _height_growth_bound(phi: RationalPoly) -> float:
     (Silverman, The Arithmetic of Dynamical Systems, section 3.4.)
     """
     d = phi.degree
-    w = math.lcm(*(c.denominator for c in phi.coefficients))
-    ints = [abs(int(c * w)) for c in phi.coefficients]
-    a_d = ints[-1]
-    s_low = sum(ints[:-1])
+    w, ints = map_invariant(phi, _integer_form)
+    a_d = abs(ints[-1])
+    s_low = sum(map(abs, ints[:-1]))
     # log(R1*|A_d|) = log max(|A_d|, 2S), taken on exact integers so that
     # huge coefficients cannot overflow a float.
     c_low = max(

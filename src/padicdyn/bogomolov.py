@@ -33,6 +33,8 @@ from .valuation import (
     Place,
     PreconditionError,
     Valuation,
+    _json_int,
+    _json_rational,
     as_fraction,
     as_place,
     in_value_group,
@@ -91,7 +93,7 @@ class BogomolovCertificate:
 
 def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
     """Inverse of BogomolovCertificate.to_json_dict (exact round-trip)."""
-    place = Place(int(data["p"]), int(data["e"]))
+    place = Place(_json_int(data["p"], "p"), _json_int(data["e"], "e"))
     polygon = polygon_from_json_dict(data["polygon"])
     witness = data.get("witness")
     if witness is None:
@@ -104,12 +106,12 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
         Verdict.STRONG_BOGOMOLOV,
         place,
         polygon,
-        witness_slope=as_fraction(witness["slope"]),
+        witness_slope=_json_rational(witness["slope"]),
         witness_segment=(
-            (int(seg[0][0]), as_fraction(seg[0][1])),
-            (int(seg[1][0]), as_fraction(seg[1][1])),
+            (_json_int(seg[0][0], "vertex index"), _json_rational(seg[0][1])),
+            (_json_int(seg[1][0], "vertex index"), _json_rational(seg[1][1])),
         ),
-        julia_point_valuation=as_fraction(witness["zeta_of_X_valuation"]),
+        julia_point_valuation=_json_rational(witness["zeta_of_X_valuation"]),
         abstract_coefficients=bool(data.get("abstract", False)),
     )
 

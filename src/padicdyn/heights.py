@@ -16,11 +16,13 @@ tracking the exact orbit once its naive height passes the growth bound,
 past which no repetition is possible.
 
 The archimedean term is certified with outward-rounded fixed-point interval
-arithmetic (integer mantissas at a chosen binary precision, escalated until
-the certificate succeeds): the orbit is enclosed until it either stays
-below the escape radius long enough that the remaining contribution is
-within budget, or provably crosses it, after which a short logarithmic tail
-computation pins the value to the requested tolerance.
+arithmetic at a chosen binary precision, escalated until the certificate
+succeeds: the orbit is enclosed in [lo, hi] * 2**-prec, a pair of plain
+integers, until it either stays below the escape radius long enough that
+the remaining contribution is within budget, or provably crosses it, after
+which a short logarithmic tail computation pins the value to the requested
+tolerance.  The radius tests are integer cross-multiplications, and each
+float the tail needs is one correctly rounded integer division.
 
 On top of these: exact preperiodicity decisions (orbit repetition versus a
 certified height-growth bound) and a survey that enumerates all rationals
@@ -136,7 +138,12 @@ def local_escape_rate(
 
     verdict = filled_julia_membership(phi, zeta, max_iter)
     if isinstance(verdict, Escaped):
-        q = Fraction(1, d**verdict.step) * (-verdict.valuation - inv.vad / Fraction(d - 1))
+        # q = d**-m * (-t - val(a_d)/(d-1)), as one Fraction.
+        t, vad = verdict.valuation, inv.vad
+        q = Fraction(
+            -(t.numerator * vad.denominator * (d - 1) + vad.numerator * t.denominator),
+            t.denominator * vad.denominator * (d - 1) * d**verdict.step,
+        )
         return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
     if isinstance(verdict, BoundedCertified):
         return _exact_zero()
@@ -153,79 +160,26 @@ def _tail_bound_p(phi: RationalPoly, p: int, max_iter: int) -> float:
 # -- archimedean contribution -------------------------------------------------
 
 
-class _FixIv:
-    """Closed real interval [lo, hi] * 2**-prec with integer endpoints.
-
-    Addition is exact; multiplication rounds lo down and hi up, so every
-    derived interval encloses the true value.  This is the outward-rounded
-    interval arithmetic used to certify archimedean orbits.
-    """
-
-    __slots__ = ("lo", "hi", "prec")
-
-    def __init__(self, lo: int, hi: int, prec: int) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.prec = prec
-
-    @classmethod
-    def from_fraction(cls, q: Fraction, prec: int) -> "_FixIv":
-        num = q.numerator << prec
-        lo = num // q.denominator
-        hi = -((-num) // q.denominator)
-        return cls(lo, hi, prec)
-
-    def __add__(self, other: "_FixIv") -> "_FixIv":
-        return _FixIv(self.lo + other.lo, self.hi + other.hi, self.prec)
-
-    def __mul__(self, other: "_FixIv") -> "_FixIv":
-        p = self.prec
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        lo = min(products) >> p
-        hi = -((-max(products)) >> p)
-        return _FixIv(lo, hi, p)
-
-    def abs_bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds for |value| over the interval."""
-        scale = 1 << self.prec
-        if self.lo >= 0:
-            return Fraction(self.lo, scale), Fraction(self.hi, scale)
-        if self.hi <= 0:
-            return Fraction(-self.hi, scale), Fraction(-self.lo, scale)
-        return Fraction(0), Fraction(max(-self.lo, self.hi), scale)
-
-
-def _poly_eval_iv(coeffs_iv: list[_FixIv], x: _FixIv) -> _FixIv:
-    acc = coeffs_iv[-1]
-    for c in reversed(coeffs_iv[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def _fraction_upper(x: float) -> Fraction:
     """A rational strictly above the float x (cheap outward rounding)."""
     return Fraction(math.nextafter(x, math.inf)) + Fraction(1, 1 << 40)
 
 
 class _ArchInvariants:
-    """phi's archimedean set-up, kept by ``map_invariant``: |a_d|, the sum
-    s_low of the other |a_i|, the escape radius r_esc, log|a_d|, the tail
-    constant kappa and the Lipschitz bound lam that sizes the precision."""
+    """phi's archimedean set-up, kept by ``map_invariant``: the escape
+    radius r_esc and its gate, u's ratio s_low/|a_d| (s_low the sum of the
+    |a_i| below the top), log|a_d|, the tail constant kappa and the
+    Lipschitz bound lam that sizes the precision."""
 
     def __init__(self, phi: RationalPoly) -> None:
         d = phi.degree
-        self.ad = ad = abs(phi.leading_coefficient)
+        ad = abs(phi.leading_coefficient)
         if float(ad) == 0.0:
             raise PreconditionError(
                 "leading coefficient underflows double precision; the escape "
                 "radius would need big-number logarithms"
             )
-        self.s_low = s_low = sum(abs(c) for c in phi.coefficients[:-1])
+        s_low = sum(abs(c) for c in phi.coefficients[:-1])
         # Escape radius: beyond R the leading term dominates (u <= 1/2), the
         # modulus at least doubles each step, and the log recursion is valid.
         r_candidates = [
@@ -233,7 +187,18 @@ class _ArchInvariants:
             (2 * s_low + 2) / ad,
             _fraction_upper((4.0 / float(ad)) ** (1.0 / (d - 1))),
         ]
-        self.r_esc = r_esc = max(r_candidates) * Fraction(9, 8)
+        r_esc = max(r_candidates) * Fraction(9, 8)
+        # The 9/8 slack inside r_esc means dominance already holds a hair below
+        # it; entering the escape branch at this lower gate keeps an orbit value
+        # exactly equal to r_esc (where the outward enclosure can never clear the
+        # radius at any precision) from stalling the certificate.
+        r_gate = r_esc * Fraction((1 << 20) - 1, 1 << 20)
+        # _arch_attempt tests |z| >= r_gate and |z| > r_esc, and bounds
+        # u = s_low / (|a_d| |z|), on integers: each is a numerator and a
+        # denominator here.
+        self.gate = (r_gate.numerator, r_gate.denominator)
+        self.esc = (r_esc.numerator, r_esc.denominator)
+        self.u_ratio = (s_low.numerator * ad.denominator, s_low.denominator * ad.numerator)
         # First-crossing magnitude bound and the tail constant.
         r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
         self.log_ad = math.log(float(ad))
@@ -244,8 +209,14 @@ class _ArchInvariants:
         ) + 2.0
 
 
-def _coeffs_iv(phi: RationalPoly, prec: int) -> list[_FixIv]:
-    return [_FixIv.from_fraction(c, prec) for c in phi.coefficients]
+def _coeffs_iv(phi: RationalPoly, prec: int) -> list[tuple[int, int]]:
+    """phi's coefficients as outward-rounded fixed-point intervals: pairs
+    (lo, hi) of integers with a_i in [lo, hi] * 2**-prec, top degree first."""
+    out = []
+    for c in reversed(phi.coefficients):
+        num = c.numerator << prec
+        out.append((num // c.denominator, -(-num // c.denominator)))
+    return out
 
 
 def archimedean_escape_rate(
@@ -292,53 +263,94 @@ def archimedean_escape_rate(
     )
 
 
+def _horner_iv(
+    coeffs_iv: list[tuple[int, int]], xlo: int, xhi: int, prec: int
+) -> tuple[int, int]:
+    """phi on [xlo, xhi] * 2**-prec by Horner's rule, as an enclosure
+    [lo, hi] * 2**-prec: sums are exact, and each product rounds lo down and
+    hi up.  The product of [lo, hi] and [xlo, xhi] spans the least and the
+    greatest of the four endpoint products; the signs of the endpoints say
+    which two those are."""
+    coeffs = iter(coeffs_iv)
+    lo, hi = next(coeffs)
+    for c_lo, c_hi in coeffs:
+        if xlo >= 0:
+            if lo >= 0:
+                p_lo, p_hi = lo * xlo, hi * xhi
+            elif hi <= 0:
+                p_lo, p_hi = lo * xhi, hi * xlo
+            else:
+                p_lo, p_hi = lo * xhi, hi * xhi
+        elif xhi <= 0:
+            if lo >= 0:
+                p_lo, p_hi = hi * xlo, lo * xhi
+            elif hi <= 0:
+                p_lo, p_hi = hi * xhi, lo * xlo
+            else:
+                p_lo, p_hi = hi * xlo, lo * xlo
+        elif lo >= 0:
+            p_lo, p_hi = hi * xlo, hi * xhi
+        elif hi <= 0:
+            p_lo, p_hi = lo * xhi, lo * xlo
+        else:
+            p_lo, p_hi = min(lo * xhi, hi * xlo), max(lo * xlo, hi * xhi)
+        lo = (p_lo >> prec) + c_lo
+        hi = c_hi - (-p_hi >> prec)
+    return lo, hi
+
+
 def _arch_attempt(
-    coeffs_iv: list[_FixIv],
+    coeffs_iv: list[tuple[int, int]],
     x: Fraction,
     budget: float,
     steps: int,
     prec: int,
     arch: _ArchInvariants,
 ) -> LocalContribution | None:
+    # The orbit is enclosed in [lo, hi] * 2**-prec with integer endpoints,
+    # |z| in [alo, ahi] * 2**-prec, and the tests against r_gate and r_esc
+    # are cross-multiplications.
     d = len(coeffs_iv) - 1
-    xiv = _FixIv.from_fraction(x, prec)
-    # The 9/8 slack inside r_esc means dominance already holds a hair below
-    # it; entering the escape branch at this lower gate keeps an orbit value
-    # exactly equal to r_esc (where the outward enclosure can never clear the
-    # radius at any precision) from stalling the certificate.
-    r_gate = arch.r_esc * Fraction((1 << 20) - 1, 1 << 20)
+    num = x.numerator << prec
+    lo, hi = num // x.denominator, -(-num // x.denominator)
+    gate_num, gate_den = arch.gate[0] << prec, arch.gate[1]
+    esc_num, esc_den = arch.esc[0] << prec, arch.esc[1]
+    u_num, u_den = arch.u_ratio[0] << prec, arch.u_ratio[1]
+    scale = 1 << prec
     m = 0
     while m <= steps + 80:
-        alo, ahi = xiv.abs_bounds()
-        if alo >= r_gate:
+        if lo >= 0:
+            alo, ahi = lo, hi
+        elif hi <= 0:
+            alo, ahi = -hi, -lo
+        else:
+            alo, ahi = 0, max(-lo, hi)
+        if alo * gate_den >= gate_num:
             # Escaped.  Keep iterating until the tail constant u is small
             # enough that the remaining correction fits the budget.
-            u_up = float(arch.s_low / (arch.ad * alo)) * 1.02 + 1e-300
+            u_up = u_num / (u_den * alo) * 1.02 + 1e-300
             damp = math.exp(-m * math.log(d))
-            if u_up * damp * 8.0 > budget and m <= steps + 78:
-                xiv = _poly_eval_iv(coeffs_iv, xiv)
-                m += 1
-                continue
-            ylo = math.log(float(alo))
-            yhi = math.log(float(ahi))
-            slop = 6 * math.ulp(1.0 + abs(yhi))
-            ylo -= slop
-            yhi += slop
-            tail = 4.0 * u_up * damp / d
-            value = damp * ((ylo + yhi) / 2 + arch.log_ad / (d - 1))
-            half_width = damp * (yhi - ylo) / 2
-            err = half_width + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
-            if err > budget:
-                return None  # escalate precision
-            return LocalContribution(max(value, 0.0), err, None, m)
-        if ahi > arch.r_esc:
+            if not (u_up * damp * 8.0 > budget and m <= steps + 78):
+                ylo = math.log(alo / scale)
+                yhi = math.log(ahi / scale)
+                slop = 6 * math.ulp(1.0 + abs(yhi))
+                ylo -= slop
+                yhi += slop
+                tail = 4.0 * u_up * damp / d
+                value = damp * ((ylo + yhi) / 2 + arch.log_ad / (d - 1))
+                half_width = damp * (yhi - ylo) / 2
+                err = half_width + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
+                if err > budget:
+                    return None  # escalate precision
+                return LocalContribution(max(value, 0.0), err, None, m)
+        elif ahi * esc_den > esc_num:
             return None  # enclosure straddles the escape radius: escalate
-        if m >= steps:
+        elif m >= steps:
             # Certified below the radius for `steps` steps: any later escape
             # contributes at most d**-steps * kappa.
             bound = math.exp(-steps * math.log(d)) * arch.kappa * 1.01
             return LocalContribution(0.0, min(bound, budget), None, None)
-        xiv = _poly_eval_iv(coeffs_iv, xiv)
+        lo, hi = _horner_iv(coeffs_iv, lo, hi, prec)
         m += 1
     return None
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .valuation import INF, PreconditionError, Valuation, as_fraction, is_finite
+from .valuation import (
+    INF,
+    PreconditionError,
+    Valuation,
+    _json_int,
+    _json_rational,
+    as_fraction,
+    is_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,12 @@ class NewtonPolygon:
 
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:
     """Inverse of NewtonPolygon.to_json_dict (exact round-trip)."""
-    vertices = tuple((int(i), as_fraction(v)) for i, v in data["vertices"])
+    vertices = tuple(
+        (_json_int(i, "vertex index"), _json_rational(v)) for i, v in data["vertices"]
+    )
     segments = tuple(
-        Segment(as_fraction(s["slope"]), int(s["length"])) for s in data["segments"]
+        Segment(_json_rational(s["slope"]), _json_int(s["length"], "segment length"))
+        for s in data["segments"]
     )
     return NewtonPolygon(vertices, segments)
 

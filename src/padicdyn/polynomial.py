@@ -6,6 +6,11 @@ iteration, Taylor expansion about a point (by an in-place Taylor shift,
 never by differentiating and dividing by factorials, and refused above
 degree MAP_DEGREE_MAX), and the rational fixed points of a map (rational
 root theorem plus exact verification).
+
+Evaluation and the Taylor shift run on plain integers: the integer form of
+P is W = lcm of the coefficient denominators and A_i = W * a_i, kept on the
+polynomial by ``map_invariant``, and each result is built as one Fraction
+from an integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -84,12 +89,19 @@ class RationalPoly:
 
     # -- ring operations ------------------------------------------------
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation by Horner's rule on the integer form: at x = m/n,
+        sum A_i m**i n**(d-i) over W n**d."""
         xf = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * xf + c
-        return acc
+        w, ints = map_invariant(self, _integer_form)
+        if not ints:
+            return Fraction(0)
+        m, n = xf.numerator, xf.denominator
+        acc = ints[-1]
+        npow = 1
+        for a in ints[-2::-1]:
+            npow *= n
+            acc = acc * m + a * npow
+        return Fraction(acc, w * npow)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPoly):
@@ -147,24 +159,35 @@ class RationalPoly:
     def taylor_coefficients(self, a: RationalLike) -> list[Fraction]:
         """Coefficients c_0..c_d with P(X) = sum c_n (X - a)**n.
 
-        Computed by the in-place Taylor shift, d(d+1)/2 multiply-adds on one
-        list: exact, and free of the factorial divisions of the derivative
-        formula.  Refuses degree d > MAP_DEGREE_MAX, since every disc
-        seminorm and pushforward runs this O(d**2) kernel.
+        Computed by the in-place Taylor shift on integers, d(d+1)/2
+        multiply-adds on one list: at a = m/n, B_j = A_j n**(d-j) are the
+        coefficients of W n**d P(Z/n), shifting them by m gives e_k, and
+        c_k = e_k / (W n**(d-k)).  Exact, and free of the factorial
+        divisions of the derivative formula.  Refuses degree
+        d > MAP_DEGREE_MAX, since every disc seminorm and pushforward runs
+        this O(d**2) kernel.
         """
         af = as_fraction(a)
-        c = list(self._coeffs)
-        if not c:
+        if not self._coeffs:
             return [Fraction(0)]
-        d = len(c) - 1
+        d = len(self._coeffs) - 1
         if d > MAP_DEGREE_MAX:
             raise PreconditionError(
                 f"Taylor expansion of degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
             )
+        if not af:
+            return list(self._coeffs)  # the shift by 0
+        w, ints = map_invariant(self, _integer_form)
+        m, n = af.numerator, af.denominator
+        npow = [1] * (d + 1)
+        for k in range(1, d + 1):
+            npow[k] = npow[k - 1] * n
+        b = [a_j * npow[d - j] for j, a_j in enumerate(ints)]
         for i in range(d):
+            acc = b[d]
             for j in range(d - 1, i - 1, -1):
-                c[j] += af * c[j + 1]
-        return c
+                acc = b[j] = b[j] + m * acc
+        return [Fraction(e, w * npow[d - k]) for k, e in enumerate(b)]
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
         """self(inner(X)), by Horner's rule in the polynomial ring."""
@@ -216,8 +239,7 @@ class RationalPoly:
             roots.add(Fraction(0))
             coeffs = coeffs[low:]
         if len(coeffs) > 1:
-            clear = lcm(*(c.denominator for c in coeffs))
-            ints = [int(c * clear) for c in coeffs]
+            ints = map_invariant(psi, _integer_form)[1][low:]
             content = gcd(*ints)
             ints = [c // content for c in ints]
             for r in divisors(abs(ints[0])):
@@ -240,25 +262,35 @@ MAP_DEGREE_MAX = 256
 def map_degree(phi: RationalPoly) -> int:
     """Degree d of phi as a dynamical map; every dynamics entry point needs
     2 <= d <= MAP_DEGREE_MAX."""
-    if phi.is_zero or phi.degree < 2:
+    d = len(phi.coefficients) - 1  # -1 for the zero polynomial
+    if d < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")
-    if phi.degree > MAP_DEGREE_MAX:
-        raise PreconditionError(
-            f"map degree {phi.degree} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
-        )
-    return phi.degree
+    _check_degree_cap(d)
+    return d
+
+
+def _check_degree_cap(d: int) -> None:
+    if d > MAP_DEGREE_MAX:
+        raise PreconditionError(f"map degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}")
 
 
 def map_invariant(phi: RationalPoly, make, *args):
-    """make(phi, *args) for a value that depends on the map alone, computed
-    once per map object and kept on it.  A computation that raises stores
-    nothing; callers run their own checks before every lookup."""
+    """make(phi, *args) for a value that depends on the polynomial alone,
+    computed once per polynomial object and kept on it.  A computation that
+    raises stores nothing; callers run their own checks before every lookup."""
     if phi._prepared is None:
         phi._prepared = {}
     key = (make, *args)
     if key not in phi._prepared:
         phi._prepared[key] = make(phi, *args)
     return phi._prepared[key]
+
+
+def _integer_form(poly: RationalPoly) -> tuple[int, tuple[int, ...]]:
+    """(W, (A_0, ..., A_d)): W the lcm of the coefficient denominators and
+    A_i = W * a_i, so that poly = (sum A_i X**i) / W on plain integers."""
+    w = lcm(*(c.denominator for c in poly.coefficients))
+    return w, tuple(c.numerator * (w // c.denominator) for c in poly.coefficients)
 
 
 def format_polynomial(poly: RationalPoly) -> str:

@@ -129,6 +129,21 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _json_rational(x: object) -> Fraction:
+    """A rational field of a JSON reader: a '[sign]num[/den]' string or an
+    integer, else PreconditionError (a JSON float is never exact)."""
+    if isinstance(x, str) or type(x) is int:
+        return as_fraction(x)
+    raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
+
+
+def _json_int(x: object, what: str) -> int:
+    """An integer field of a JSON reader: an exact int, else PreconditionError."""
+    if type(x) is not int:
+        raise PreconditionError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def as_place(place: Place | int) -> Place:
     """Coerce a Place or a bare prime to a Place.
 

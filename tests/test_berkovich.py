@@ -85,6 +85,23 @@ class TestDiscPoint:
                 disc_point_from_json_dict(data)
 
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"center": "1", "rho": "0", "p": 2.7}, "p must be an integer"),
+            ({"center": "1", "rho": "0", "p": "1e5"}, "p must be an integer"),
+            ({"center": "1", "rho": "0", "p": True}, "p must be an integer"),
+            ({"center": 0.5, "rho": "0", "p": 2}, "not a rational number"),
+            ({"center": "0", "rho": 0.5, "p": 2}, "not a rational number"),
+        ],
+    )
+    def test_json_reader_takes_exact_fields_only(self, data, message):
+        # int(2.7) would give p = 2, int("1e5") a bare ValueError and
+        # as_fraction(0.5) a TypeError
+        with pytest.raises(PreconditionError, match=message):
+            disc_point_from_json_dict(data)
+
+
 class TestSeminorm:
     def test_gauss_point_takes_min_valuation(self):
         p = 5

@@ -238,6 +238,26 @@ class TestCertificateData:
             with pytest.raises(PreconditionError, match="not a rational number"):
                 certificate_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "path, bad, message",
+        [
+            (("p",), 2.7, "p must be an integer"),
+            (("p",), "1e5", "p must be an integer"),
+            (("e",), 1.0, "e must be an integer"),
+            (("witness", "segment", 0, 0), 0.5, "vertex index must be"),
+            (("witness", "slope"), 0.2, "not a rational number"),
+            (("polygon", "segments", 0, "length"), "5", "segment length must be"),
+        ],
+    )
+    def test_reader_takes_exact_fields_only(self, path, bad, message):
+        data = json.loads(check_criterion(parse_polynomial("X^5+X^2+X+1/2"), Place(2)).to_json())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(PreconditionError, match=message):
+            certificate_from_json_dict(data)
+
     def test_inconclusive_round_trip(self):
         cert = check_criterion(P(3, 0, 1), Place(5))
         again = certificate_from_json_dict(json.loads(cert.to_json()))

@@ -206,6 +206,32 @@ class TestExitCodes:
         assert time.monotonic() - started < 1.0
         assert run(argv + ["inf"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["height", "X^999999", "2"],
+            ["bogomolov", "X^999999+1", "--prime", "2"],
+            ["member", "X^999999", "--prime", "2", "--center", "0", "--rho", "0"],
+            ["mphi", "X^999999", "--fixed", "0", "--prime", "2"],
+            ["survey", "X^999999", "--prime", "2", "--max-height", "0.5"],
+        ],
+    )
+    def test_map_degree_cap_precedes_building_the_map(self, argv, capsys):
+        # the parsed exponents give the degree; building the million dense
+        # coefficients first took about 1.2 s
+        started = time.monotonic()
+        assert run(argv) == 3
+        assert time.monotonic() - started < 0.5
+        assert capsys.readouterr().err == "map degree 999999 exceeds MAP_DEGREE_MAX = 256\n"
+
+    def test_map_degree_is_that_of_the_summed_terms(self, capsys):
+        # cancelling terms leave a quadratic map; np stays uncapped
+        started = time.monotonic()
+        assert run(["height", "X^999999 - X^999999 + X^2", "2"]) == 0
+        assert time.monotonic() - started < 0.5
+        assert json.loads(capsys.readouterr().out)["local_parts"]["inf"]["escaped_at"] == 2
+        assert run(["np", f"X^{MAP_DEGREE_MAX + 1} + 1", "--prime", "2"]) == 0
+
     @pytest.mark.parametrize("text", ["1e-200000", "1e50000000"])
     def test_exponent_notation_rational_exits_two(self, text, capsys):
         # Fraction(text) would build 10**200000 and more, past any size check
@@ -420,6 +446,33 @@ def test_readme_examples_stdout_is_byte_identical(argv, code, stdout, capsys):
     if argv[0] == "survey":
         out = "".join(out.splitlines(keepends=True)[:4])
     assert out == stdout
+
+
+# Disc orbits at the degree cap: each membership step runs a degree-256
+# Taylor shift.  On Fractions these took about 100 s (the repelling center)
+# and 207 s (2048 steps of a contracting disc).
+_DEGREE_CAP_ORBITS = [
+    (
+        ["mphi", "1/2*X^256-1/2*X", "--fixed", "0", "--prime", "2"],
+        '{"rho_lower": "65026/255", "rho_upper": null, "snapped": null, '
+        '"exact": false, "probes": 10}\n',
+    ),
+    (
+        ["member", "9*X^256+3*X", "--prime", "3", "--center", "0", "--rho", "0",
+         "--max-iter", "2048"],
+        '{"verdict": "bounded_up_to", "max_iter": 2048}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", _DEGREE_CAP_ORBITS, ids=[case[0][0] for case in _DEGREE_CAP_ORBITS]
+)
+def test_disc_orbits_at_the_degree_cap(argv, stdout, capsys):
+    started = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - started < 10.0
+    assert capsys.readouterr().out == stdout
 
 
 # -- fuzzing run() -------------------------------------------------------------

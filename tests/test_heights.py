@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import (
@@ -32,7 +32,8 @@ from padicdyn import (
 )
 from padicdyn import heights
 from padicdyn.berkovich import MEMBERSHIP_MAX_ITER
-from padicdyn.heights import EPS_FLOOR, SURVEY_N_MAX
+from padicdyn.heights import EPS_FLOOR, SURVEY_N_MAX, LocalContribution
+from padicdyn.polynomial import map_invariant
 
 
 def P(*ascending):
@@ -276,6 +277,217 @@ def test_archimedean_escape_rate_within_bound_of_mpmath_orbit():
             g, tol = _mp_escape_rate(phi, x)
             miss = abs(mpmath.mpf(value) - g) - tol
             assert miss <= err, (phi, x, budget, value, err, g)
+
+
+class _RefFixIv:
+    """The closed interval [lo, hi] * 2**-prec of the object-per-interval
+    archimedean loop that the integer loop of ``heights`` replaced: kept here
+    as a differential reference."""
+
+    __slots__ = ("lo", "hi", "prec")
+
+    def __init__(self, lo, hi, prec):
+        self.lo, self.hi, self.prec = lo, hi, prec
+
+    @classmethod
+    def from_fraction(cls, q, prec):
+        num = q.numerator << prec
+        return cls(num // q.denominator, -((-num) // q.denominator), prec)
+
+    def __add__(self, other):
+        return _RefFixIv(self.lo + other.lo, self.hi + other.hi, self.prec)
+
+    def __mul__(self, other):
+        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return _RefFixIv(min(products) >> self.prec, -((-max(products)) >> self.prec), self.prec)
+
+    def abs_bounds(self):
+        scale = 1 << self.prec
+        if self.lo >= 0:
+            return F(self.lo, scale), F(self.hi, scale)
+        if self.hi <= 0:
+            return F(-self.hi, scale), F(-self.lo, scale)
+        return F(0), F(max(-self.lo, self.hi), scale)
+
+
+def _ref_setup(phi):
+    """The escape radius r_esc, its gate, s_low, |a_d|, log|a_d|, the tail
+    constant and the Lipschitz bound, computed afresh on Fractions."""
+    d = phi.degree
+    ad = abs(phi.leading_coefficient)
+    s_low = sum(abs(c) for c in phi.coefficients[:-1])
+    r_upper = F(math.nextafter((4.0 / float(ad)) ** (1.0 / (d - 1)), math.inf)) + F(1, 1 << 40)
+    r_esc = max(F(1), (2 * s_low + 2) / ad, r_upper) * F(9, 8)
+    r1 = float((s_low + ad) * r_esc**d) * 1.01 + 2.0
+    log_ad = math.log(float(ad))
+    return {
+        "r_esc": r_esc,
+        "r_gate": r_esc * F((1 << 20) - 1, 1 << 20),
+        "s_low": s_low,
+        "ad": ad,
+        "log_ad": log_ad,
+        "kappa": math.log(r1) + abs(log_ad) / (d - 1) + 1.0,
+        "lam": float(sum(i * abs(c) for i, c in enumerate(phi.coefficients)))
+        * float(max(r_esc, 1) ** (d - 1))
+        + 2.0,
+    }
+
+
+def _ref_attempt(phi, setup, x, budget, steps, prec):
+    """One certification attempt at binary precision prec by the _RefFixIv
+    loop; None asks for more precision."""
+    d = phi.degree
+    coeffs_iv = [_RefFixIv.from_fraction(c, prec) for c in phi.coefficients]
+
+    def step(z):
+        acc = coeffs_iv[-1]
+        for c in reversed(coeffs_iv[:-1]):
+            acc = acc * z + c
+        return acc
+
+    xiv = _RefFixIv.from_fraction(x, prec)
+    m = 0
+    while m <= steps + 80:
+        alo, ahi = xiv.abs_bounds()
+        if alo >= setup["r_gate"]:
+            u_up = float(setup["s_low"] / (setup["ad"] * alo)) * 1.02 + 1e-300
+            damp = math.exp(-m * math.log(d))
+            if u_up * damp * 8.0 > budget and m <= steps + 78:
+                xiv, m = step(xiv), m + 1
+                continue
+            ylo, yhi = math.log(float(alo)), math.log(float(ahi))
+            slop = 6 * math.ulp(1.0 + abs(yhi))
+            ylo, yhi = ylo - slop, yhi + slop
+            tail = 4.0 * u_up * damp / d
+            value = damp * ((ylo + yhi) / 2 + setup["log_ad"] / (d - 1))
+            err = damp * (yhi - ylo) / 2 + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
+            return None if err > budget else LocalContribution(max(value, 0.0), err, None, m)
+        if ahi > setup["r_esc"]:
+            return None
+        if m >= steps:
+            bound = math.exp(-steps * math.log(d)) * setup["kappa"] * 1.01
+            return LocalContribution(0.0, min(bound, budget), None, None)
+        xiv, m = step(xiv), m + 1
+    return None
+
+
+def _ref_archimedean_escape_rate(phi, x, budget):
+    """The archimedean escape rate by the _RefFixIv loop, escalating the
+    precision as the library does; None where the library refuses."""
+    d = phi.degree
+    if float(abs(phi.leading_coefficient)) == 0.0:
+        return None
+    try:
+        setup = _ref_setup(phi)
+        steps = max(1, math.ceil(math.log(setup["kappa"] / budget) / math.log(d))) + 1
+        prec = 64 + steps * max(1, math.ceil(math.log2(setup["lam"] + 2)))
+        for _ in range(8):
+            result = _ref_attempt(phi, setup, x, budget, steps, prec)
+            if result is not None:
+                return result
+            prec *= 2
+    except OverflowError:
+        return None
+    return None
+
+
+_wide_fraction = st.one_of(
+    _small_fraction,
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def _arch_maps(draw):
+    d = draw(st.integers(2, 5))
+    coeffs = [draw(st.one_of(st.just(F(0)), _wide_fraction)) for _ in range(d)]
+    return RationalPoly(coeffs + [draw(_wide_fraction.filter(lambda c: c != 0))])
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    phi=_arch_maps(),
+    x=st.one_of(_small_fraction, _wide_fraction, st.builds(F, st.integers(-3, 3), st.just(2))),
+    # Below about 1e-11 a map with a huge escape radius runs all eight
+    # precision doublings (seconds each) before it is refused, in both loops.
+    budget=st.one_of(st.sampled_from([1e-6, 1e-9, 1e-11]), st.floats(1e-11, 1e-2)),
+)
+# Orbits through an exact zero reached from a non-dyadic point: the
+# enclosures of the orbit and of Horner's accumulator then straddle 0, which
+# random maps almost never give.
+@example(phi=P(0, 0, -1, 3), x=F(1, 3), budget=1e-9)
+@example(phi=P(-1, 0, 9), x=F(1, 3), budget=1e-9)
+@example(phi=P(1, 0, -9), x=F(1, 3), budget=1e-11)
+@example(phi=P(0, 0, 1, 3), x=F(-1, 3), budget=1e-6)
+@example(phi=P(F(1, 2), 1, 1, 0, 0, 1), x=F(3, 7), budget=EPS_FLOOR / 4)
+@example(phi=P(-2, 0, 1), x=F(1, 2), budget=EPS_FLOOR / 4)
+def test_archimedean_escape_rate_matches_interval_object_loop(phi, x, budget):
+    want = _ref_archimedean_escape_rate(phi, x, budget)
+    try:
+        got = archimedean_escape_rate(phi, x, budget)
+    except PreconditionError:
+        got = None
+    assert got == want
+    if want is not None:
+        assert (repr(got.value), repr(got.error_bound)) == (repr(want.value), repr(want.error_bound))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    phi=st.one_of(_maps(), _arch_maps().filter(lambda phi: max(map(abs, phi.coefficients)) < 10**6)),
+    x=st.one_of(_small_fraction, st.builds(F, st.integers(-3, 3), st.just(2))),
+    budget=st.sampled_from([1e-2, 1e-6, 1e-9]),
+    steps=st.integers(1, 8),
+    prec=st.one_of(st.integers(0, 6), st.integers(0, 48)),
+)
+@example(phi=P(0, 0, -1, 3), x=F(1, 3), budget=1e-2, steps=6, prec=20)
+@example(phi=P(-1, 0, 9), x=F(1, 3), budget=1e-6, steps=8, prec=30)
+@example(phi=P(1, 0, -9), x=F(1, 3), budget=1e-6, steps=8, prec=12)
+@example(phi=P(0, 0, 1, 3), x=F(-1, 3), budget=1e-2, steps=4, prec=40)
+# 8X^2 - 1 has r_esc = 9/8 exactly: an enclosure that reaches r_esc, and a
+# point exactly at the gate r_esc * (1 - 2**-20).
+# An enclosure straddling 0 whose lower end is the larger in absolute value.
+@example(phi=P(-1, 1, 1), x=F(-1, 3), budget=1e-2, steps=4, prec=0)
+# With steps=0 the gate and radius tests alone decide the outcome.
+@example(phi=P(-1, 0, 8), x=F(10, 9), budget=1e-2, steps=0, prec=3)
+@example(phi=P(-1, 0, 8), x=F(9 * (2**20 - 1), 2**23), budget=1e-2, steps=0, prec=23)
+def test_archimedean_attempt_matches_interval_object_loop_at_low_precision(
+    phi, x, budget, steps, prec
+):
+    # Few bits make the enclosures wide, so the endpoints show in the escape
+    # decisions and the logarithms.
+    arch = map_invariant(phi, heights._ArchInvariants)
+    coeffs_iv = map_invariant(phi, heights._coeffs_iv, prec)
+    got = heights._arch_attempt(coeffs_iv, x, budget, steps, prec, arch)
+    want = _ref_attempt(phi, _ref_setup(phi), x, budget, steps, prec)
+    assert got == want
+    if want is not None:
+        assert (repr(got.value), repr(got.error_bound)) == (repr(want.value), repr(want.error_bound))
+
+
+_endpoint = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _intervals(draw):
+    a, b = draw(_endpoint), draw(_endpoint)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs_iv=st.lists(_intervals(), min_size=1, max_size=6),
+    x=_intervals(),
+    prec=st.integers(0, 64),
+)
+def test_horner_enclosure_matches_interval_objects(coeffs_iv, x, prec):
+    # Every sign pattern of the endpoints, straddling zero included, against
+    # the four-product interval multiplication of _RefFixIv.
+    ivs = [_RefFixIv(lo, hi, prec) for lo, hi in coeffs_iv]
+    acc = ivs[0]
+    for c in ivs[1:]:
+        acc = acc * _RefFixIv(*x, prec) + c
+    assert heights._horner_iv(coeffs_iv, *x, prec) == (acc.lo, acc.hi)
 
 
 def test_canonical_height_within_bound_of_independent_oracles():

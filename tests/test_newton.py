@@ -223,6 +223,24 @@ class TestSerialization:
             with pytest.raises(PreconditionError, match="not a rational number"):
                 polygon_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"vertices": [[0.5, "-1"], [2, "0"]], "segments": []}, "vertex index must be"),
+            ({"vertices": [["0", "-1"], [2, "0"]], "segments": []}, "vertex index must be"),
+            ({"vertices": [[0, -0.5], [2, "0"]], "segments": []}, "not a rational number"),
+            (
+                {"vertices": [], "segments": [{"slope": "1/2", "length": 2.0}]},
+                "segment length must be",
+            ),
+            ({"vertices": [], "segments": [{"slope": 0.5, "length": 2}]}, "not a rational number"),
+        ],
+    )
+    def test_reader_takes_exact_fields_only(self, data, message):
+        # int(0.5) would give index 0 and as_fraction(0.5) a TypeError
+        with pytest.raises(PreconditionError, match=message):
+            polygon_from_json_dict(data)
+
     def test_json_uses_exact_strings(self):
         polygon = newton_polygon([(0, F(-1, 3)), (2, F(0))])
         data = polygon.to_json_dict()

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn import (
@@ -94,6 +94,81 @@ class TestTaylorCoefficients:
         q = RationalPoly(coeffs)
         shifted = q.taylor_coefficients(a)
         assert sum(c * (b - a) ** n for n, c in enumerate(shifted)) == q(b)
+
+
+def _fraction_horner(coeffs, x):
+    """Reference evaluation: Horner's rule on Fractions."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_shift(coeffs, a):
+    """Reference Taylor shift: d(d+1)/2 Fraction multiply-adds in place."""
+    c = list(coeffs) or [F(0)]
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+_BIG = 10**40
+_rationals = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_denominator=12).filter(lambda q: abs(q.numerator) < 10**6),
+    st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+def _same_fractions(got, want):
+    if isinstance(want, F):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is F and g == w
+        assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+
+class TestIntegerKernels:
+    """Horner and the Taylor shift on the integer form W*P agree exactly with
+    the same algorithms run on Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_rationals, max_size=13), _rationals)
+    def test_evaluation_matches_fraction_horner(self, coeffs, x):
+        q = RationalPoly(coeffs)
+        _same_fractions(q(x), _fraction_horner(q.coefficients, x))
+        _same_fractions(q(x), _fraction_horner(q.coefficients, x))  # memoised form
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_rationals, max_size=13), _rationals)
+    def test_taylor_shift_matches_fraction_shift(self, coeffs, a):
+        q = RationalPoly(coeffs)
+        _same_fractions(q.taylor_coefficients(a), _fraction_shift(q.coefficients, a))
+        _same_fractions(q.taylor_coefficients(0), _fraction_shift(q.coefficients, F(0)))
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, MAP_DEGREE_MAX - 1), _rationals), max_size=6),
+        _rationals,
+        _rationals,
+    )
+    def test_kernels_at_the_degree_cap(self, terms, x, a):
+        coeffs = [F(0)] * MAP_DEGREE_MAX + [F(1, 3)]
+        for i, c in terms:
+            coeffs[i] = c
+        q = RationalPoly(coeffs)
+        _same_fractions(q(x), _fraction_horner(q.coefficients, x))
+        _same_fractions(q.taylor_coefficients(a), _fraction_shift(q.coefficients, a))
+
+    def test_integer_arguments_and_strings(self):
+        q = P(F(1, 2), 0, F(-3, 7), 5)
+        assert q(2) == q(F(2)) == q("2") == _fraction_horner(q.coefficients, F(2))
+        assert q.taylor_coefficients("-1/3") == _fraction_shift(q.coefficients, F(-1, 3))
+        assert RationalPoly()(F(5, 3)) == 0
+        assert RationalPoly().taylor_coefficients(1) == [F(0)]
 
 
 class TestCompose:
