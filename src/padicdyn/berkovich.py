@@ -386,6 +386,7 @@ def filled_julia_membership(
             # escape at once never pay for the bound.
             if zeta.is_type_i and m >= 1 and _past_growth_bound(phi, center):
                 certifiable = False  # the orbit can no longer repeat
+                center = small(center)
             else:
                 key = _disc_key(center, rho, p)
                 if key in seen:

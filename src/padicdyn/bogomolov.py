@@ -92,28 +92,38 @@ class BogomolovCertificate:
 
 
 def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
-    """Inverse of BogomolovCertificate.to_json_dict (exact round-trip)."""
+    """Inverse of BogomolovCertificate.to_json_dict (exact round-trip).
+    Refuses data whose verdict or witness is not what the slope test gives
+    on its own polygon and place."""
     place = Place(_json_int(data["p"], "p"), _json_int(data["e"], "e"))
     polygon = polygon_from_json_dict(data["polygon"])
+    abstract = bool(data.get("abstract", False))
     witness = data.get("witness")
     if witness is None:
-        return BogomolovCertificate(
-            Verdict.INCONCLUSIVE, place, polygon,
-            abstract_coefficients=bool(data.get("abstract", False)),
+        loaded = BogomolovCertificate(
+            Verdict.INCONCLUSIVE, place, polygon, abstract_coefficients=abstract
         )
-    seg = witness["segment"]
-    return BogomolovCertificate(
-        Verdict.STRONG_BOGOMOLOV,
-        place,
-        polygon,
-        witness_slope=_json_rational(witness["slope"]),
-        witness_segment=(
-            (_json_int(seg[0][0], "vertex index"), _json_rational(seg[0][1])),
-            (_json_int(seg[1][0], "vertex index"), _json_rational(seg[1][1])),
-        ),
-        julia_point_valuation=_json_rational(witness["zeta_of_X_valuation"]),
-        abstract_coefficients=bool(data.get("abstract", False)),
-    )
+    else:
+        seg = witness["segment"]
+        loaded = BogomolovCertificate(
+            Verdict.STRONG_BOGOMOLOV,
+            place,
+            polygon,
+            witness_slope=_json_rational(witness["slope"]),
+            witness_segment=(
+                (_json_int(seg[0][0], "vertex index"), _json_rational(seg[0][1])),
+                (_json_int(seg[1][0], "vertex index"), _json_rational(seg[1][1])),
+            ),
+            julia_point_valuation=_json_rational(witness["zeta_of_X_valuation"]),
+            abstract_coefficients=abstract,
+        )
+    (start, _), (d, lead) = polygon.vertices[0], polygon.vertices[-1]
+    if start != 0 or d < 2:
+        raise PreconditionError("certificate polygon must span indices 0 to a degree d >= 2")
+    rebuilt = _scan(polygon, lead, d, place, abstract)
+    if rebuilt != loaded or data.get("verdict") != rebuilt.verdict.value:
+        raise PreconditionError("certificate data disagrees with the slope test on its polygon")
+    return loaded
 
 
 def _scan(

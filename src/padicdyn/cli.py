@@ -4,14 +4,12 @@ Grammar (whitespace insignificant):
 
     expr  := ['+'|'-'] term (('+'|'-') term)*
     term  := coeff | coeff '*'? var | var
-    var   := 'X' ('^' nat)?
+    var   := 'X' ('^' nat)?      (that nat <= polynomial.MAP_DEGREE_MAX)
     coeff := nat ('/' nat)?
 
-Repeated powers are summed, and an exponent may not exceed
-``polynomial.DEFAULT_DEGREE_CAP``.  Syntax errors carry the character position.
-The subcommands that take a dynamical map refuse a degree above
-``polynomial.MAP_DEGREE_MAX`` from the parsed exponents, before the dense
-coefficient list is built.
+Repeated powers are summed.  Every subcommand refuses an exponent above
+``MAP_DEGREE_MAX`` as a syntax error at that token, so no argument builds a
+polynomial of higher degree.  Syntax errors carry the character position.
 
 Subcommands write their data (JSON or CSV) to stdout and diagnostics to
 stderr.  Exit codes: 0 success (and a strong verdict for `bogomolov`),
@@ -37,7 +35,7 @@ from .bogomolov import check_criterion
 from .bounds import bound_table, bounds_to_csv, find_crossover
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
-from .polynomial import DEFAULT_DEGREE_CAP, RationalPoly, _check_degree_cap
+from .polynomial import MAP_DEGREE_MAX, RationalPoly
 from .valuation import INF, Place, PreconditionError, as_fraction, is_finite, val
 
 EXIT_OK = 0
@@ -159,9 +157,9 @@ class _Parser:
             if nxt is not None and nxt[0] == "^":
                 self.take()
                 power, where = self.expect_int("a nonnegative integer exponent")
-                if power > DEFAULT_DEGREE_CAP:
+                if power > MAP_DEGREE_MAX:
                     raise PolynomialSyntaxError(
-                        f"exponent exceeds the degree cap {DEFAULT_DEGREE_CAP}", where
+                        f"exponent {power} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}", where
                     )
             powers[power] = powers.get(power, Fraction(0)) + sign * coeff
         elif have_coeff:
@@ -172,22 +170,8 @@ class _Parser:
 
 def parse_polynomial(text: str) -> RationalPoly:
     """Parse an expression like 'X^5 + X^2 + X + 1/2' to an exact polynomial."""
-    return _dense(_Parser(text).parse())
-
-
-def _parse_map(text: str) -> RationalPoly:
-    """parse_polynomial for a dynamical map."""
-    return _dense(_Parser(text).parse(), map_cap=True)
-
-
-def _dense(powers: dict[int, Fraction], map_cap: bool = False) -> RationalPoly:
-    """The polynomial with the parsed {exponent: coefficient}.  With map_cap,
-    a degree above MAP_DEGREE_MAX is refused before the dense coefficient
-    list is built."""
-    degree = max((i for i, c in powers.items() if c), default=0)
-    if map_cap:
-        _check_degree_cap(degree)
-    return RationalPoly(powers.get(i, Fraction(0)) for i in range(degree + 1))
+    powers = _Parser(text).parse()
+    return RationalPoly(powers.get(i, Fraction(0)) for i in range(max(powers) + 1))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -216,7 +200,7 @@ def _cmd_np(args: argparse.Namespace) -> int:
 
 
 def _cmd_bogomolov(args: argparse.Namespace) -> int:
-    cert = check_criterion(_parse_map(args.poly), Place(args.prime, args.ram))
+    cert = check_criterion(parse_polynomial(args.poly), Place(args.prime, args.ram))
     print(cert.to_json())
     return EXIT_OK if cert.is_strong else EXIT_INCONCLUSIVE
 
@@ -241,26 +225,26 @@ def _cmd_disc_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    poly = _parse_map(args.poly)
+    poly = parse_polynomial(args.poly)
     verdict = filled_julia_membership(poly, _disc_point(args), args.max_iter)
     print(json.dumps(verdict_to_json_dict(verdict)))
     return EXIT_OK
 
 
 def _cmd_mphi(args: argparse.Namespace) -> int:
-    res = max_point(_parse_map(args.poly), _parse_rational(args.fixed), args.prime)
+    res = max_point(parse_polynomial(args.poly), _parse_rational(args.fixed), args.prime)
     print(json.dumps(res.to_json_dict()))
     return EXIT_OK
 
 
 def _cmd_height(args: argparse.Namespace) -> int:
-    res = canonical_height(_parse_map(args.poly), _parse_rational(args.x), args.eps)
+    res = canonical_height(parse_polynomial(args.poly), _parse_rational(args.x), args.eps)
     print(json.dumps(res.to_json_dict()))
     return EXIT_OK
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    poly = _parse_map(args.poly)
+    poly = parse_polynomial(args.poly)
     report = survey(poly, args.prime, args.max_height, args.eps)
     sys.stdout.write(survey_to_csv(report))
     print(f"note: {report.disclaimer}", file=sys.stderr)

@@ -67,7 +67,8 @@ class NewtonPolygon:
 
 
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:
-    """Inverse of NewtonPolygon.to_json_dict (exact round-trip)."""
+    """Inverse of NewtonPolygon.to_json_dict (exact round-trip).  Refuses
+    data that is not the polygon newton_polygon builds from its vertices."""
     vertices = tuple(
         (_json_int(i, "vertex index"), _json_rational(v)) for i, v in data["vertices"]
     )
@@ -75,7 +76,10 @@ def polygon_from_json_dict(data: dict) -> NewtonPolygon:
         Segment(_json_rational(s["slope"]), _json_int(s["length"], "segment length"))
         for s in data["segments"]
     )
-    return NewtonPolygon(vertices, segments)
+    polygon = NewtonPolygon(vertices, segments)
+    if newton_polygon(vertices) != polygon:
+        raise PreconditionError("polygon data is not the lower convex hull of its vertices")
+    return polygon
 
 
 def newton_polygon(points: Iterable[tuple[int, Valuation]]) -> NewtonPolygon:

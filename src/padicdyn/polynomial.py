@@ -254,8 +254,8 @@ class RationalPoly:
         return sorted(roots)
 
 
-# Every dynamics entry point refuses maps above this degree: the CLI grammar
-# lets a short argument build a polynomial of degree up to DEFAULT_DEGREE_CAP.
+# Every dynamics entry point refuses maps above this degree, and the CLI
+# grammar refuses any larger exponent, so no argument builds such a map.
 MAP_DEGREE_MAX = 256
 
 
@@ -265,13 +265,9 @@ def map_degree(phi: RationalPoly) -> int:
     d = len(phi.coefficients) - 1  # -1 for the zero polynomial
     if d < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")
-    _check_degree_cap(d)
-    return d
-
-
-def _check_degree_cap(d: int) -> None:
     if d > MAP_DEGREE_MAX:
         raise PreconditionError(f"map degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}")
+    return d
 
 
 def map_invariant(phi: RationalPoly, make, *args):

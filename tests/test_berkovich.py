@@ -395,6 +395,15 @@ class TestFilledJuliaMembership:
         phi = P(10**400, 0, 1)
         assert filled_julia_membership(phi, DiscPoint(0, INF, 2), 8) == BoundedUpTo(8)
 
+    @pytest.mark.parametrize("center, p", [(-3000, 2), (F(60, 59), 3)])
+    def test_type_i_orbit_is_reduced_once_it_cannot_repeat(self, center, p):
+        # X^256 passes its growth bound at step 1; the exact image of that
+        # point has over 10**5 digits; evaluating and reducing it took 14-81 s
+        started = time.monotonic()
+        phi = RationalPoly.monomial(256)
+        assert filled_julia_membership(phi, DiscPoint(center, INF, p), 64) == BoundedUpTo(64)
+        assert time.monotonic() - started < 0.5
+
     @staticmethod
     def _replay(phi, zeta, max_iter):
         """The verdict of an exact orbit replay, or None once a radius

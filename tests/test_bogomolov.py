@@ -258,6 +258,63 @@ class TestCertificateData:
         with pytest.raises(PreconditionError, match=message):
             certificate_from_json_dict(data)
 
+    def test_round_trip_on_random_maps(self):
+        rng = random.Random(47)
+        strong = 0
+        for _ in range(200):
+            d = rng.randint(2, 6)
+            phi = RationalPoly(
+                [F(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 40))]
+                + [F(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(d - 1)]
+                + [F(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 40))]
+            )
+            cert = check_criterion(phi, Place(rng.choice([2, 3, 5]), rng.randint(1, 3)))
+            strong += cert.is_strong
+            assert certificate_from_json_dict(json.loads(cert.to_json())) == cert
+        abstract = check_criterion_abstract({0: F(-1), 2: F(0), 5: F(0)}, 5, Place(2))
+        assert certificate_from_json_dict(json.loads(abstract.to_json())) == abstract
+        assert 20 <= strong <= 180, strong
+
+    def test_reader_refuses_a_witness_of_no_slope_of_its_polygon(self):
+        data = json.loads(check_criterion(parse_polynomial("X^5+X^2+X+1/2"), Place(2)).to_json())
+        data["witness"]["slope"] = "3"
+        data["witness"]["zeta_of_X_valuation"] = "7"
+        with pytest.raises(PreconditionError, match="disagrees with the slope test"):
+            certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("witness", "slope"), "3"),
+            (("witness", "zeta_of_X_valuation"), "7"),
+            (("witness", "segment", 1), [2, "0"]),
+            (("witness",), None),
+            (("verdict",), "inconclusive"),
+            (("e",), 5),  # 1/5 lies in the value group (1/5)Z
+        ],
+    )
+    def test_reader_refuses_what_the_slope_test_contradicts(self, path, bad):
+        data = json.loads(check_criterion(parse_polynomial("X^5+X^2+X+1/2"), Place(2)).to_json())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(PreconditionError, match="disagrees with the slope test"):
+            certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            {"vertices": [[1, "0"], [3, "1"]], "segments": [{"slope": "1/2", "length": 2}]},
+            {"vertices": [[0, "0"], [1, "1"]], "segments": [{"slope": "1", "length": 1}]},
+        ],
+    )
+    def test_reader_refuses_a_polygon_of_no_fixed_point_equation(self, polygon):
+        data = {"verdict": "inconclusive", "p": 2, "e": 1, "witness": None,
+                "polygon": polygon, "abstract": False}
+        with pytest.raises(PreconditionError, match="must span indices 0 to a degree"):
+            certificate_from_json_dict(data)
+
     def test_inconclusive_round_trip(self):
         cert = check_criterion(P(3, 0, 1), Place(5))
         again = certificate_from_json_dict(json.loads(cert.to_json()))

@@ -25,7 +25,7 @@ from padicdyn import (
 )
 from padicdyn.bogomolov import certificate_from_json_dict
 from padicdyn.newton import polygon_from_json_dict
-from padicdyn.polynomial import DEFAULT_DEGREE_CAP, MAP_DEGREE_MAX
+from padicdyn.polynomial import MAP_DEGREE_MAX
 
 
 class TestParsePolynomial:
@@ -80,11 +80,15 @@ class TestParsePolynomial:
             parse_polynomial("X^2 3")  # juxtaposition is not multiplication
 
     def test_exponent_above_degree_cap_rejected(self, capsys):
+        assert parse_polynomial(f"X + X^{MAP_DEGREE_MAX}").degree == MAP_DEGREE_MAX
         with pytest.raises(PolynomialSyntaxError) as err:
-            parse_polynomial(f"X + X^{DEFAULT_DEGREE_CAP + 1}")
+            parse_polynomial(f"X + X^{MAP_DEGREE_MAX + 1}")
         assert err.value.position == 6
-        assert str(DEFAULT_DEGREE_CAP) in str(err.value)
-        assert run(["np", f"X^{DEFAULT_DEGREE_CAP + 1}", "--prime", "2"]) == 2
+        assert str(err.value) == (
+            f"syntax error at position 6: exponent {MAP_DEGREE_MAX + 1} exceeds "
+            f"MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
+        )
+        assert run(["np", f"X^{MAP_DEGREE_MAX + 1}", "--prime", "2"]) == 2
         assert "position 2" in capsys.readouterr().err
 
     def test_non_ascii_digit_rejected(self, capsys):
@@ -186,25 +190,35 @@ class TestExitCodes:
                 ["disc-eval", "X^2", "--prime", "2", "--center", "0", "--rho", "-512"],
                 "beyond double precision range",
             ),
-            (["height", f"X^{MAP_DEGREE_MAX + 1}+1", "2"], "MAP_DEGREE_MAX"),
-            (
-                ["disc-eval", "X^9999+1", "--prime", "2", "--center", "1/3", "--rho", "1"],
-                "MAP_DEGREE_MAX",
-            ),
         ],
     )
     def test_out_of_range_input_exits_three(self, argv, message, capsys):
         assert run(argv) == 3
         assert message in capsys.readouterr().err
 
-    def test_degree_cap_is_on_discs_only(self):
-        # a disc seminorm is an O(d**2) Taylor expansion, refused at once;
-        # a type I seminorm is one Horner evaluation and stays uncapped
+    @pytest.mark.parametrize(
+        "argv, exponent",
+        [
+            (["height", f"X^{MAP_DEGREE_MAX + 1}+1", "2"], MAP_DEGREE_MAX + 1),
+            (["disc-eval", "X^9999+1", "--prime", "2", "--center", "1/3", "--rho", "1"], 9999),
+        ],
+        ids=["height", "disc-eval"],
+    )
+    def test_degree_above_the_cap_exits_two_at_the_token(self, argv, exponent, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"syntax error at position 2: exponent {exponent} exceeds MAP_DEGREE_MAX = 256\n"
+        )
+
+    def test_degree_cap_holds_at_every_radius(self, capsys):
+        # one cap for every subcommand: a classical point (--rho inf), one
+        # Horner evaluation, is refused at the exponent as a disc is
         argv = ["disc-eval", "X^9999+1", "--prime", "2", "--center", "1/3", "--rho"]
-        started = time.monotonic()
-        assert run(argv + ["1"]) == 3
-        assert time.monotonic() - started < 1.0
-        assert run(argv + ["inf"]) == 0
+        for rho in ("1", "inf"):
+            started = time.monotonic()
+            assert run(argv + [rho]) == 2
+            assert time.monotonic() - started < 1.0
+        assert capsys.readouterr().err.count("syntax error at position 2") == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -214,23 +228,31 @@ class TestExitCodes:
             ["member", "X^999999", "--prime", "2", "--center", "0", "--rho", "0"],
             ["mphi", "X^999999", "--fixed", "0", "--prime", "2"],
             ["survey", "X^999999", "--prime", "2", "--max-height", "0.5"],
+            ["np", "X^999999", "--prime", "2"],
+            ["disc-eval", "X^999999+1", "--prime", "2", "--center", "1/3", "--rho", "inf"],
         ],
     )
     def test_map_degree_cap_precedes_building_the_map(self, argv, capsys):
-        # the parsed exponents give the degree; building the million dense
-        # coefficients first took about 1.2 s
+        # the exponent token is refused before any coefficient is built; past
+        # the grammar, np took 3 s here and disc-eval at --rho inf over 15 s
         started = time.monotonic()
-        assert run(argv) == 3
+        assert run(argv) == 2
         assert time.monotonic() - started < 0.5
-        assert capsys.readouterr().err == "map degree 999999 exceeds MAP_DEGREE_MAX = 256\n"
+        assert capsys.readouterr().err == (
+            "syntax error at position 2: exponent 999999 exceeds MAP_DEGREE_MAX = 256\n"
+        )
 
     def test_map_degree_is_that_of_the_summed_terms(self, capsys):
-        # cancelling terms leave a quadratic map; np stays uncapped
-        started = time.monotonic()
-        assert run(["height", "X^999999 - X^999999 + X^2", "2"]) == 0
-        assert time.monotonic() - started < 0.5
+        # cancelling terms under the cap leave a quadratic map; above it,
+        # each exponent token is refused, whatever the terms sum to
+        assert run(["height", "X^200 - X^200 + X^2", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["local_parts"]["inf"]["escaped_at"] == 2
-        assert run(["np", f"X^{MAP_DEGREE_MAX + 1} + 1", "--prime", "2"]) == 0
+        for argv in (
+            ["height", "X^999999 - X^999999 + X^2", "2"],
+            ["np", f"X^{MAP_DEGREE_MAX + 1} + 1", "--prime", "2"],
+        ):
+            assert run(argv) == 2
+            assert "syntax error at position 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["1e-200000", "1e50000000"])
     def test_exponent_notation_rational_exits_two(self, text, capsys):
@@ -486,8 +508,8 @@ _FUZZ_POLYS = st.one_of(
                   st.integers(0, 6)),
         max_size=4,
     ).map(lambda terms: " + ".join(f"{c}*X^{k}" for c, k in terms) or "0"),
-    # junk, without '^' so that no exponent builds a huge polynomial
-    st.text(alphabet="X0123456789+-*/ ", max_size=10),
+    # junk; the grammar refuses any exponent above MAP_DEGREE_MAX
+    st.text(alphabet="X0123456789+-*/^ ", max_size=10),
 )
 _FUZZ_RATIONALS = st.one_of(
     st.integers(-3000, 3000).map(str),

@@ -213,6 +213,32 @@ class TestSerialization:
         assert again == polygon
         assert isinstance(again, NewtonPolygon)
 
+    def test_round_trip_on_random_polygons(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            points = [(i, F(rng.randint(-9, 9), rng.randint(1, 4)))
+                      for i in sorted(rng.sample(range(12), rng.randint(2, 8)))]
+            polygon = newton_polygon(points)
+            assert polygon_from_json_dict(json.loads(polygon.to_json())) == polygon
+
+    @pytest.mark.parametrize(
+        "vertices, segments",
+        [
+            # the hull of (0, 1), (2, 0) is one segment of slope -1/2 and length 2
+            ([[0, "1"], [2, "0"]], [{"slope": "5", "length": 7}]),
+            ([[0, "1"], [2, "0"]], [{"slope": "-1/2", "length": 7}]),
+            ([[0, "1"], [2, "0"]], []),
+            ([[2, "0"], [0, "1"]], [{"slope": "-1/2", "length": 2}]),
+            # a collinear middle vertex, and one above the hull
+            ([[0, "0"], [1, "1"], [2, "2"]], [{"slope": "1", "length": 1}] * 2),
+            ([[0, "0"], [1, "2"], [2, "0"]],
+             [{"slope": "2", "length": 1}, {"slope": "-2", "length": 1}]),
+        ],
+    )
+    def test_reader_refuses_a_polygon_that_is_not_its_hull(self, vertices, segments):
+        with pytest.raises(PreconditionError, match="not the lower convex hull"):
+            polygon_from_json_dict({"vertices": vertices, "segments": segments})
+
     @pytest.mark.parametrize("text", ["1e-200000", "1.5", " 1 "])
     def test_reader_refuses_non_rational_text(self, text):
         # Fraction(text) would take each of these, and the first builds 10**200000
