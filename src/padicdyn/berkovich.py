@@ -19,7 +19,6 @@ reduction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,9 +85,6 @@ class DiscPoint:
             "rho": "inf" if self.is_type_i else str(self.rho),
             "p": self.p,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:

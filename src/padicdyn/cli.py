@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -52,126 +53,72 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
-    """(kind, value, position) tokens; an ASCII digit run is one int token."""
-    tokens: list[tuple[str, str | int, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+_TOKEN = re.compile(r"([0-9]+)|\S")
+
+
+def parse_polynomial(text: str) -> RationalPoly:
+    """Parse an expression like 'X^5 + X^2 + X + 1/2' to an exact polynomial.
+
+    Tokens are (kind, value, position): an ASCII digit run is one "int", and
+    an "end" token at len(text) closes the list.  A bad character or an
+    over-long integer is reported before any grammar error."""
+    tokens: list[tuple[str, int | None, int]] = []
+    for m in _TOKEN.finditer(text):
+        if m[1]:
             try:
-                tokens.append(("int", int(text[i:j]), i))
+                tokens.append(("int", int(m[1]), m.start()))
             except ValueError:  # beyond Python's int-conversion digit limit
-                raise PolynomialSyntaxError("integer has too many digits", i) from None
-            i = j
-            continue
-        if ch == "X":
-            tokens.append(("var", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str | int, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str | int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise PolynomialSyntaxError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect_int(self, what: str) -> tuple[int, int]:
-        """The next token as an integer, with its position."""
-        tok = self.peek()
-        if tok is None or tok[0] != "int":
-            where = tok[2] if tok else len(self.text)
-            raise PolynomialSyntaxError(f"expected {what}", where)
-        self.take()
-        return tok[1], tok[2]
-
-    def parse(self) -> dict[int, Fraction]:
-        powers: dict[int, Fraction] = {}
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] in "+-":
-            self.take()
-            sign = -1 if tok[0] == "-" else 1
-        self._term(powers, sign)
-        while (tok := self.peek()) is not None:
-            if tok[0] not in "+-":
-                raise PolynomialSyntaxError("expected '+' or '-'", tok[2])
-            self.take()
-            self._term(powers, -1 if tok[0] == "-" else 1)
-        return powers
-
-    def _term(self, powers: dict[int, Fraction], sign: int) -> None:
-        tok = self.peek()
-        if tok is None:
-            raise PolynomialSyntaxError("expected a term", len(self.text))
-        coeff = Fraction(1)
-        have_coeff = False
-        if tok[0] == "int":
-            self.take()
-            num = tok[1]
+                raise PolynomialSyntaxError("integer has too many digits", m.start()) from None
+        elif m[0] in "X+-*/^":
+            tokens.append((m[0], None, m.start()))
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {m[0]!r}", m.start())
+    tokens.append(("end", None, len(text)))
+    if tokens[0][0] not in ("+", "-"):
+        tokens.insert(0, ("+", None, 0))  # the first term's sign is optional
+    powers: dict[int, Fraction] = {}
+    i = 0
+    while tokens[i][0] != "end":
+        kind, _, where = tokens[i]
+        if kind not in ("+", "-"):
+            raise PolynomialSyntaxError("expected '+' or '-'", where)
+        sign = -1 if kind == "-" else 1
+        i += 1
+        kind, value, where = tokens[i]
+        coeff, power = Fraction(1), None  # power stays None without a coefficient or X
+        if kind == "int":
             den = 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "/":
-                self.take()
-                den, where = self.expect_int("a positive denominator")
+            if tokens[i + 1][0] == "/":
+                kind, den, where = tokens[i + 2]
+                if kind != "int":
+                    raise PolynomialSyntaxError("expected a positive denominator", where)
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", where)
-            coeff = Fraction(num, den)
-            have_coeff = True
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "*":
-                self.take()
-                nxt2 = self.peek()
-                if nxt2 is None or nxt2[0] != "var":
-                    where = nxt2[2] if nxt2 else len(self.text)
-                    raise PolynomialSyntaxError("expected 'X' after '*'", where)
-        tok = self.peek()
-        if tok is not None and tok[0] == "var":
-            self.take()
+                i += 2
+            coeff, power = Fraction(value, den), 0
+            i += 1
+            if tokens[i][0] == "*":
+                i += 1
+                if tokens[i][0] != "X":
+                    raise PolynomialSyntaxError("expected 'X' after '*'", tokens[i][2])
+        kind, _, where = tokens[i]
+        if kind == "X":
             power = 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "^":
-                self.take()
-                power, where = self.expect_int("a nonnegative integer exponent")
+            if tokens[i + 1][0] == "^":
+                kind, power, where = tokens[i + 2]
+                if kind != "int":
+                    raise PolynomialSyntaxError("expected a nonnegative integer exponent", where)
                 if power > MAP_DEGREE_MAX:
                     raise PolynomialSyntaxError(
                         f"exponent {power} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}", where
                     )
-            powers[power] = powers.get(power, Fraction(0)) + sign * coeff
-        elif have_coeff:
-            powers[0] = powers.get(0, Fraction(0)) + sign * coeff
-        else:
-            raise PolynomialSyntaxError("expected a coefficient or 'X'", tok[2])
-
-
-def parse_polynomial(text: str) -> RationalPoly:
-    """Parse an expression like 'X^5 + X^2 + X + 1/2' to an exact polynomial."""
-    powers = _Parser(text).parse()
-    return RationalPoly(powers.get(i, Fraction(0)) for i in range(max(powers) + 1))
+                i += 2
+            i += 1
+        elif power is None:
+            message = "expected a term" if kind == "end" else "expected a coefficient or 'X'"
+            raise PolynomialSyntaxError(message, where)
+        powers[power] = powers.get(power, Fraction(0)) + sign * coeff
+    return RationalPoly(powers.get(k, Fraction(0)) for k in range(max(powers) + 1))
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -16,13 +16,14 @@ tracking the exact orbit once its naive height passes the growth bound,
 past which no repetition is possible.
 
 The archimedean term is certified with outward-rounded fixed-point interval
-arithmetic at a chosen binary precision, escalated until the certificate
-succeeds: the orbit is enclosed in [lo, hi] * 2**-prec, a pair of plain
-integers, until it either stays below the escape radius long enough that
-the remaining contribution is within budget, or provably crosses it, after
+arithmetic at one binary precision, sized from the map and the tolerance:
+the orbit is enclosed in [lo, hi] * 2**-prec, a pair of plain integers,
+until it either stays below the escape radius long enough that the
+remaining contribution is within budget, or provably crosses it, after
 which a short logarithmic tail computation pins the value to the requested
-tolerance.  The radius tests are integer cross-multiplications, and each
-float the tail needs is one correctly rounded integer division.
+tolerance.  Where that one attempt cannot certify, the call is refused.
+The radius tests are integer cross-multiplications, and each float the
+tail needs is one correctly rounded integer division.
 
 On top of these: exact preperiodicity decisions (orbit repetition versus a
 certified height-growth bound) and a survey that enumerates all rationals
@@ -229,8 +230,9 @@ def archimedean_escape_rate(
     enough that the remaining contribution is within budget (the rate is
     then 0 up to that budget), or provably escapes, after which the
     logarithmic recursion converges doubly exponentially and the value is
-    pinned by a short tail estimate.  Precision escalates automatically
-    until the certificate succeeds.
+    pinned by a short tail estimate.  The interval precision is sized once
+    from the map's Lipschitz bound and the number of steps; where that
+    attempt cannot certify, the call is refused.
     """
     d = map_degree(phi)
     if not EPS_FLOOR / 4 <= error_budget < math.inf:
@@ -246,21 +248,20 @@ def archimedean_escape_rate(
         arch = map_invariant(phi, _ArchInvariants)
         steps = max(1, math.ceil(math.log(arch.kappa / error_budget) / math.log(d))) + 1
         prec = 64 + steps * max(1, math.ceil(math.log2(arch.lam + 2)))
-        for _ in range(8):
-            coeffs_iv = map_invariant(phi, _coeffs_iv, prec)
-            result = _arch_attempt(coeffs_iv, xf, error_budget, steps, prec, arch)
-            if result is not None:
-                return result
-            prec *= 2
+        coeffs_iv = map_invariant(phi, _coeffs_iv, prec)
+        result = _arch_attempt(coeffs_iv, xf, error_budget, steps, prec, arch)
     except OverflowError as exc:
         raise PreconditionError(
             "the map or the point exceeds double precision range; the escape "
             "rate would need big-number logarithms"
         ) from exc
-    raise PreconditionError(
-        "archimedean certification did not converge; the point straddles the "
-        "escape boundary beyond the supported interval precision"
-    )
+    if result is None:
+        raise PreconditionError(
+            f"archimedean certification failed at {prec} bits: the orbit's "
+            "enclosure straddles the escape radius, or the float error floor "
+            f"of the escape estimate exceeds the tolerance {error_budget:g}"
+        )
+    return result
 
 
 def _horner_iv(
@@ -341,10 +342,10 @@ def _arch_attempt(
                 half_width = damp * (yhi - ylo) / 2
                 err = half_width + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
                 if err > budget:
-                    return None  # escalate precision
+                    return None  # the float error floor exceeds the budget
                 return LocalContribution(max(value, 0.0), err, None, m)
         elif ahi * esc_den > esc_num:
-            return None  # enclosure straddles the escape radius: escalate
+            return None  # the enclosure straddles the escape radius
         elif m >= steps:
             # Certified below the radius for `steps` steps: any later escape
             # contributes at most d**-steps * kappa.

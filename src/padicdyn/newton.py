@@ -48,11 +48,6 @@ class NewtonPolygon:
     vertices: tuple[tuple[int, Fraction], ...]
     segments: tuple[Segment, ...]
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """(leftmost index, rightmost index) of the hull."""
-        return self.vertices[0][0], self.vertices[-1][0]
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": [[i, str(v)] for i, v in self.vertices],

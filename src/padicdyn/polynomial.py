@@ -249,8 +249,6 @@ class RationalPoly:
                     for cand in (Fraction(r, s), Fraction(-r, s)):
                         if psi(cand) == 0:
                             roots.add(cand)
-        elif len(coeffs) == 1:
-            pass  # nonzero constant: no further roots
         return sorted(roots)
 
 

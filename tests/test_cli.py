@@ -79,6 +79,40 @@ class TestParsePolynomial:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("X^2 3")  # juxtaposition is not multiplication
 
+    # Every message the parser has, with its position.  A bad character or an
+    # over-long integer is reported before any grammar error, wherever it is.
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("2*3", 2, "expected 'X' after '*'"),
+            ("2*", 2, "expected 'X' after '*'"),
+            ("1/X", 2, "expected a positive denominator"),
+            ("X + 1/", 6, "expected a positive denominator"),
+            ("1/0", 2, "zero denominator"),
+            ("", 0, "expected a term"),
+            ("  ", 2, "expected a term"),
+            ("X +", 3, "expected a term"),
+            ("-", 1, "expected a term"),
+            ("*X", 0, "expected a coefficient or 'X'"),
+            ("X + ^2", 4, "expected a coefficient or 'X'"),
+            ("1/2/3", 3, "expected '+' or '-'"),
+            ("X X", 2, "expected '+' or '-'"),
+            ("X^", 2, "expected a nonnegative integer exponent"),
+            ("X^-2", 2, "expected a nonnegative integer exponent"),
+            (f"X^{MAP_DEGREE_MAX + 1}", 2,
+             f"exponent {MAP_DEGREE_MAX + 1} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"),
+            ("++#", 2, "unexpected character '#'"),
+            ("X^²", 2, "unexpected character '²'"),
+            ("x", 0, "unexpected character 'x'"),
+            ("*\t" + "1" * 5001, 2, "integer has too many digits"),
+        ],
+    )
+    def test_syntax_error_golden_table(self, text, position, message):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+        assert str(err.value) == f"syntax error at position {position}: {message}"
+
     def test_exponent_above_degree_cap_rejected(self, capsys):
         assert parse_polynomial(f"X + X^{MAP_DEGREE_MAX}").degree == MAP_DEGREE_MAX
         with pytest.raises(PolynomialSyntaxError) as err:

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -211,6 +212,15 @@ class TestArchimedeanEscapeRate:
         with pytest.raises(PreconditionError, match="exceeds double precision range"):
             canonical_height(phi, x)
 
+    def test_float_error_floor_above_the_budget_is_refused_at_once(self):
+        # At a budget near EPS_FLOOR / 4 the float rounding terms of the
+        # escaped branch's error bound exceed the budget at any precision.
+        phi = P(F(475195, 59), 0, 4 * 10**37, 0, 1)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="float error floor"):
+            archimedean_escape_rate(phi, 0, 2.5e-13)
+        assert time.perf_counter() - start < 1.0
+
     def test_square_at_two(self):
         value, err = archimedean_escape_rate(P(0, 0, 1), F(2))
         assert abs(value - math.log(2)) <= err <= 1e-9
@@ -381,8 +391,10 @@ def _result_or_exception_type(call):
 
 
 def _ref_archimedean_escape_rate(phi, x, budget):
-    """The archimedean escape rate by the _RefFixIv loop, escalating the
-    precision as the library does; None where the library refuses."""
+    """The archimedean escape rate by the _RefFixIv loop; None where it
+    refuses.  Unlike the library, which makes one attempt at the sized
+    precision, it doubles the precision up to eight times, so an input that
+    only escalation would certify shows up as a mismatch."""
     d = phi.degree
     if float(abs(phi.leading_coefficient)) == 0.0:
         return None
@@ -417,8 +429,8 @@ def _arch_maps(draw):
 @given(
     phi=_arch_maps(),
     x=st.one_of(_small_fraction, _wide_fraction, st.builds(F, st.integers(-3, 3), st.just(2))),
-    # Below about 1e-11 a map with a huge escape radius runs all eight
-    # precision doublings (seconds each) before it is refused, in both loops.
+    # Below about 1e-11 a map with a huge escape radius makes the reference
+    # run all eight precision doublings (seconds each) before it refuses.
     budget=st.one_of(st.sampled_from([1e-6, 1e-9, 1e-11]), st.floats(1e-11, 1e-2)),
 )
 # Orbits through an exact zero reached from a non-dyadic point: the
