@@ -30,6 +30,7 @@ from .valuation import (
     PreconditionError,
     RationalLike,
     Valuation,
+    _int_valuation,
     _json_int,
     _json_rational,
     as_fraction,
@@ -88,11 +89,15 @@ class DiscPoint:
 
 
 def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
-    """(rho, center mod p**ceil(rho)), or (INF, center) for a type I point:
-    equal for exactly the equal disc points at the prime p."""
+    """Integers equal for exactly the equal disc points at the prime p: the
+    numerator and denominator of rho and of center mod p**ceil(rho), or of
+    the center alone for a type I point.  A Fraction is in lowest terms, so
+    its pair of integers determines it, and the two lengths keep type I keys
+    apart from disc keys."""
     if not is_finite(rho):
-        return (rho, center)
-    return (rho, reduce_mod_prime_power(center, p, math.ceil(rho)))
+        return (center.numerator, center.denominator)
+    r = reduce_mod_prime_power(center, p, math.ceil(rho))
+    return (rho.numerator, rho.denominator, r.numerator, r.denominator)
 
 
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
@@ -300,11 +305,36 @@ MEMBERSHIP_RHO_MAX = 1024
 
 
 def _check_max_iter(max_iter: int) -> None:
-    if not isinstance(max_iter, int) or not 1 <= max_iter <= MEMBERSHIP_MAX_ITER:
+    if type(max_iter) is not int or not 1 <= max_iter <= MEMBERSHIP_MAX_ITER:
         raise PreconditionError(
             f"max_iter must be an integer in 1..MEMBERSHIP_MAX_ITER = "
             f"{MEMBERSHIP_MAX_ITER}, got {max_iter!r}"
         )
+
+
+class _OrbitPlan:
+    """The precision plan of a membership orbit of phi at p, for at most
+    max_iter steps from a state of |rho| <= rho0_mag / 2.
+
+    Per step, congruence modulo p**k degrades by at most
+    L = max(0, -min val(a_i)) + (d-1)*max(0, -v_C) (difference bound for
+    phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
+    which computed valuations are guaranteed exact after all steps; the
+    extra d*negvc covers comparison slop in the radius update.  Centers are
+    reduced modulo p**window, and ``size`` = p**window.  Callers check the
+    place and degree.
+    """
+
+    def __init__(self, phi: RationalPoly, p: int, max_iter: int, rho0_mag: int) -> None:
+        d = phi.degree
+        inv = map_invariant(phi, _LocalInvariants, p)
+        neg = max(0, math.ceil(-inv.min_val))
+        negvc = max(0, math.ceil(-inv.v_c))
+        loss_per_step = neg + (d - 1) * negvc
+        trust = 64 + 2 * (1 + math.ceil(abs(inv.v_c))) + rho0_mag + d * negvc
+        self.rho_trust = trust - d * negvc
+        self.window = trust + (max_iter + 1) * loss_per_step
+        self.size = p**self.window
 
 
 def filled_julia_membership(
@@ -321,7 +351,10 @@ def filled_julia_membership(
     Centers are reduced modulo p**W once their numerator or denominator
     exceeds p**W; W is provisioned so that every valuation compared against
     the threshold, and every canonical form used for cycle detection, is
-    provably the true one.  A type I center stays exact while the orbit can
+    provably the true one.  W depends only on phi, p, ``max_iter`` and the
+    size of the starting radius, so its plan is computed once and kept on
+    the map object; a call that ends at step 0 or 1 pays for little more
+    than those steps.  A type I center stays exact while the orbit can
     repeat: until, at some step m >= 1, its naive height passes the growth
     bound of ``_height_growth_bound``.  From there on heights increase
     strictly, so the orbit provably never repeats; the center is reduced
@@ -331,32 +364,21 @@ def filled_julia_membership(
     stays sound.
     """
     _check_max_iter(max_iter)
-    if not zeta.is_type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
+    type_i = zeta.is_type_i
+    if not type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
         raise PreconditionError(
             "disc radius valuation exceeds MEMBERSHIP_RHO_MAX = "
             f"{MEMBERSHIP_RHO_MAX} in absolute value"
         )
-    d = map_degree(phi)
+    map_degree(phi)  # so that escape_threshold is only called on a map it accepts
     p = zeta.p
     v_c = escape_threshold(phi, p)
-
-    # Precision plan.  Per step, congruence modulo p**k degrades by at most
-    # L = max(0, -min val(a_i)) + (d-1)*max(0, -v_C) (difference bound for
-    # phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
-    # which computed valuations are guaranteed exact after all steps; the
-    # extra d*negvc covers comparison slop in the radius update.
-    neg = max(0, math.ceil(-map_invariant(phi, _LocalInvariants, p).min_val))
-    negvc = max(0, math.ceil(-v_c))
-    rho0_mag = 0 if zeta.is_type_i else 2 * math.ceil(abs(zeta.rho))
-    loss_per_step = neg + (d - 1) * negvc
-    trust = 64 + 2 * (1 + math.ceil(abs(v_c))) + rho0_mag + d * negvc
-    rho_trust = trust - d * negvc
-    window = trust + (max_iter + 1) * loss_per_step
+    rho0_mag = 0 if type_i else 2 * math.ceil(abs(zeta.rho))
+    plan = map_invariant(phi, _OrbitPlan, p, max_iter, rho0_mag)
+    window, size = plan.window, plan.size
 
     # A center is a number congruent to itself, so it stays as it is until
     # it grows past p**W; reducing small centers would only enlarge them.
-    size = p**window
-
     def small(x: Fraction) -> Fraction:
         if abs(x.numerator) <= size and x.denominator <= size:
             return x
@@ -364,23 +386,29 @@ def filled_julia_membership(
 
     # A type I center stays exact while the orbit can repeat: a reduced one
     # could give two distinct points the same cycle key.
-    center = zeta.center if zeta.is_type_i else small(zeta.center)
+    center = zeta.center if type_i else small(zeta.center)
     rho = zeta.rho
     certifiable = True
     seen: dict[tuple, int] = {}
 
     for m in range(max_iter + 1):
-        # A computed value at or above trust (rho_trust for rho) is only known
-        # to be large; both exceed v_C, so such a value never passes the test
-        # and one that does is the true value.
-        t = min(val(center, p), rho)
+        # t = min(val(center), rho), on the center's integers.  A computed
+        # value at or above trust (rho_trust for rho) is only known to be
+        # large; both exceed v_C, so such a value never passes the test and
+        # one that does is the true value.
+        if center.numerator:
+            t = _int_valuation(center.numerator, p) - _int_valuation(center.denominator, p)
+            if not type_i and rho < t:
+                t = rho
+        else:
+            t = rho
         if t < v_c:
-            return Escaped(m, t)
+            return Escaped(m, Fraction(t))
 
         if certifiable:
             # Checked from step 1 on, after the escape test, so orbits that
             # escape at once never pay for the bound.
-            if zeta.is_type_i and m >= 1 and _past_growth_bound(phi, center):
+            if type_i and m >= 1 and _past_growth_bound(phi, center):
                 certifiable = False  # the orbit can no longer repeat
                 center = small(center)
             else:
@@ -404,7 +432,7 @@ def filled_julia_membership(
                 term = n * rho + val(tay[n], p)
                 if term < rho_new:
                     rho_new = term
-            if rho_new >= rho_trust:
+            if rho_new >= plan.rho_trust:
                 certifiable = False
             rho = rho_new
             center = small(tay[0])

@@ -30,6 +30,7 @@ certified height-growth bound) and a survey that enumerates all rationals
 of bounded naive height and tabulates their canonical heights.
 
 What depends on the map alone (per-prime valuation data and tail constants,
+the p-adic orbit plan for each prime, step budget and starting radius size,
 the growth bound, the primes of the coefficient denominators, the
 archimedean escape radius and tail constants, and the interval coefficients
 at each precision) is kept on the map object by
@@ -385,13 +386,16 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
     map_degree(phi)
     z = as_fraction(x)
     bound = map_invariant(phi, _height_growth_bound)
-    seen: dict[Fraction, int] = {}
+    # Keyed on (numerator, denominator): a Fraction is in lowest terms, and
+    # a pair of ints hashes far faster than a Fraction.
+    seen: dict[tuple[int, int], int] = {}
     for k in range(_PREPERIODIC_ITERATION_GUARD):
-        if z in seen:
+        key = (z.numerator, z.denominator)
+        if key in seen:
             return PreperiodicityCertificate(
-                True, seen[z], k - seen[z], None, bound
+                True, seen[key], k - seen[key], None, bound
             )
-        seen[z] = k
+        seen[key] = k
         if _past_growth_bound(phi, z):
             return PreperiodicityCertificate(False, None, None, k, bound)
         z = phi(z)

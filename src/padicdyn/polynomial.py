@@ -268,16 +268,21 @@ def map_degree(phi: RationalPoly) -> int:
     return d
 
 
+_UNSET = object()  # map_invariant's marker for a value not yet computed
+
+
 def map_invariant(phi: RationalPoly, make, *args):
     """make(phi, *args) for a value that depends on the polynomial alone,
     computed once per polynomial object and kept on it.  A computation that
     raises stores nothing; callers run their own checks before every lookup."""
-    if phi._prepared is None:
-        phi._prepared = {}
+    prepared = phi._prepared
+    if prepared is None:
+        prepared = phi._prepared = {}
     key = (make, *args)
-    if key not in phi._prepared:
-        phi._prepared[key] = make(phi, *args)
-    return phi._prepared[key]
+    value = prepared.get(key, _UNSET)
+    if value is _UNSET:
+        value = prepared[key] = make(phi, *args)
+    return value
 
 
 def _integer_form(poly: RationalPoly) -> tuple[int, tuple[int, ...]]:

@@ -144,12 +144,27 @@ def _json_int(x: object, what: str) -> int:
     return x
 
 
+# Places already built from an exact int, so that a prime is tested once.
+# Only ``type(place) is int`` is looked up: 2.0, True and Fraction(2) hash and
+# compare equal to 2 and must still be refused.  Bounded, since any int may
+# come in; once full, further places are built and checked on every call.
+_PLACES: dict[int, "Place"] = {}
+_PLACES_MAX = 64
+
+
 def as_place(place: Place | int) -> Place:
     """Coerce a Place or a bare prime to a Place.
 
     Anything else raises PreconditionError("place requires a prime ...")
     from ``Place`` itself, the one place check of the package.
     """
+    if type(place) is int:
+        pl = _PLACES.get(place)
+        if pl is None:
+            pl = Place(place)
+            if len(_PLACES) < _PLACES_MAX:
+                _PLACES[place] = pl
+        return pl
     return place if isinstance(place, Place) else Place(place)
 
 
@@ -162,15 +177,14 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def val(x: RationalLike, p: int) -> Valuation:
+def val(x: RationalLike, p: Place | int) -> Valuation:
     """Additive p-adic valuation of the rational ``x``; ``val(0, p) = INF``.
 
-    Satisfies val(xy) = val(x) + val(y) and the ultrametric inequality
-    val(x + y) >= min(val(x), val(y)), with equality when the two
-    valuations differ.
+    ``p`` is a prime or a ``Place``.  Satisfies val(xy) = val(x) + val(y)
+    and the ultrametric inequality val(x + y) >= min(val(x), val(y)), with
+    equality when the two valuations differ.
     """
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"prime expected, got {p!r}")
+    p = as_place(p).p
     q = as_fraction(x)
     if q == 0:
         return INF

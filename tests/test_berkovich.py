@@ -333,8 +333,9 @@ class TestFilledJuliaMembership:
         assert verdict == BoundedUpTo(max_iter=40)
 
     def test_max_iter_guard(self):
-        # checked before any work, so only the value just above the cap is run
-        for bad in (0, MEMBERSHIP_MAX_ITER + 1):
+        # checked before any work, so only the value just above the cap is
+        # run; True equals 1 but is refused, as it would share 1's plan
+        for bad in (0, MEMBERSHIP_MAX_ITER + 1, True, 2.0):
             with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
                 filled_julia_membership(P(0, 0, 1), DiscPoint(0, 0, 2), bad)
 
@@ -459,6 +460,45 @@ class TestFilledJuliaMembership:
             seen[type(expected)] += 1
         assert min(seen.values()) >= 40, seen
         assert skipped <= 40
+
+    def test_plan_kept_on_a_warm_map_matches_a_fresh_map(self):
+        # One map object answers every (point, max_iter) in a shuffled order,
+        # so its orbit plans were made for earlier calls; a fresh object per
+        # call makes its plan anew.  Every map fixes a.  The inputs about a
+        # are what a plan made for a shorter orbit or a smaller radius gets
+        # wrong: a + p**k next to a repelling a escapes after tens of steps,
+        # and a disc of rho near the cap about an integral map's a recurs at
+        # once when the multiplier is a unit.
+        rng = random.Random(67)
+        for trial in range(24):
+            p = rng.choice([2, 3, 5])
+            a = rng.randint(-4, 4)
+            if trial % 2:
+                # integral, with the constant chosen so that phi(a) = a
+                coeffs = [0] + [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                coeffs.append(rng.choice([1, -1, 2, 3, p, p * p]))
+                coeffs[0] = a - RationalPoly(coeffs)(a)
+            else:
+                # a + lam*(X - a) + mu*(X - a)**2 with |lam| > 1 at p
+                lam = F(rng.choice([1, 2, 4]) * p + 1, p ** rng.randint(1, 2))
+                mu = F(rng.choice([1, -1, 3]))
+                coeffs = [a - lam * a + mu * a * a, lam - 2 * mu * a, mu]
+            rho_big = F(rng.randint(-2 * MEMBERSHIP_RHO_MAX, 2 * MEMBERSHIP_RHO_MAX), 2)
+            points = [
+                DiscPoint(rand_fraction(rng), INF, p),
+                DiscPoint(F(a) + F(p) ** rng.randint(20, 120), INF, p),
+                DiscPoint(a, F(rng.randint(1800, 2 * MEMBERSHIP_RHO_MAX), 2), p),
+                DiscPoint(rand_fraction(rng), rho_big, p),
+            ]
+            calls = [(zeta, n) for zeta in points for n in (1, 5, 256)]
+            rng.shuffle(calls)
+            warm = RationalPoly(coeffs)
+            for zeta, max_iter in calls:
+                got = filled_julia_membership(warm, zeta, max_iter)
+                want = filled_julia_membership(RationalPoly(coeffs), zeta, max_iter)
+                assert got == want, (coeffs, zeta, max_iter)
+                if isinstance(want, Escaped):
+                    assert type(got.valuation) is F and got.valuation == want.valuation
 
     def test_verdict_serialization(self):
         assert verdict_to_json_dict(Escaped(3)) == {"verdict": "escaped", "step": 3}

@@ -180,10 +180,12 @@ def test_local_escape_rate_matches_exact_orbit(phi, x, p, max_iter, fix_x):
 
 
 def test_local_escape_rate_max_iter_cap():
-    # the cap holds on the integral trap too, which never runs the orbit
+    # the cap holds on the integral trap too, which never runs the orbit;
+    # True is refused although it equals 1
     for x in (F(1, 2), F(1)):
-        with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
-            local_escape_rate(P(0, 0, 1), x, 2, max_iter=MEMBERSHIP_MAX_ITER + 1)
+        for bad in (MEMBERSHIP_MAX_ITER + 1, True):
+            with pytest.raises(PreconditionError, match="MEMBERSHIP_MAX_ITER"):
+                local_escape_rate(P(0, 0, 1), x, 2, max_iter=bad)
 
 
 def test_membership_cap_clears_every_canonical_height_need():

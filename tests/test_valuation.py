@@ -162,13 +162,15 @@ _PLACE_TAKERS = {
     ),
     "local_escape_rate": lambda pl: local_escape_rate(_PHI, F(2, 3), pl),
     "survey": lambda pl: survey(_PHI, pl, 0.0),
+    "val": lambda pl: val(F(2, 3), pl),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PLACE_TAKERS))
 def test_every_place_argument_is_checked_alike(name):
     take = _PLACE_TAKERS[name]
-    for bad in (0, 1, 4, -3, 2.0, "2"):
+    take(3)  # a warm place memo must still refuse what equals 3 but is no int
+    for bad in (0, 1, 4, -3, 2.0, "2", True, F(3)):
         with pytest.raises(PreconditionError, match="place requires a prime"):
             take(bad)
     assert take(3) == take(Place(3))
