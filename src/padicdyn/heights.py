@@ -442,6 +442,17 @@ def _denominator_primes(phi: RationalPoly) -> frozenset[int]:
     return frozenset().union(*map(factorize, (c.denominator for c in phi.coefficients)))
 
 
+def _check_eps(eps: float) -> None:
+    """Refuse a height tolerance unless it is finite and at least EPS_FLOOR."""
+    if not 0 < eps < math.inf:
+        raise PreconditionError("eps must be positive and finite")
+    if eps < EPS_FLOOR:
+        raise PreconditionError(
+            f"tolerance {eps:g} is below the double-precision floor ({EPS_FLOOR:g}); "
+            "interval arithmetic mode with higher-precision logarithms is required"
+        )
+
+
 def canonical_height(
     phi: RationalPoly, x: RationalLike, eps: float = 1e-8
 ) -> HeightResult:
@@ -454,13 +465,7 @@ def canonical_height(
     exceeds eps.
     """
     d = map_degree(phi)
-    if not 0 < eps < math.inf:
-        raise PreconditionError("eps must be positive and finite")
-    if eps < EPS_FLOOR:
-        raise PreconditionError(
-            f"tolerance {eps:g} is below the double-precision floor ({EPS_FLOOR:g}); "
-            "interval arithmetic mode with higher-precision logarithms is required"
-        )
+    _check_eps(eps)
     xf = as_fraction(x)
     active = _active_primes(phi, xf)
     if is_preperiodic(phi, xf):
@@ -547,6 +552,7 @@ def survey(
             f"max_height {max_height:g} exceeds log({SURVEY_N_MAX}): survey enumerates "
             f"numerators and denominators up to the cap SURVEY_N_MAX = {SURVEY_N_MAX}"
         )
+    _check_eps(eps)
     n_max = math.floor(math.exp(max_height) + 1e-9)
     records: list[SurveyRecord] = []
     preperiodic_points: list[Fraction] = []

@@ -2,10 +2,11 @@
 
 Coefficients are ``fractions.Fraction`` stored ascending by degree.  The
 operations that matter for dynamics are exact evaluation, composition and
-iteration, Taylor expansion about a point (by an in-place Taylor shift,
-never by differentiating and dividing by factorials, and refused above
-degree MAP_DEGREE_MAX), and the rational fixed points of a map (rational
-root theorem plus exact verification).
+iteration (refused above degree MAP_DEGREE_MAX), Taylor expansion about a
+point (by an in-place Taylor shift, never by differentiating and dividing by
+factorials, and refused above degree MAP_DEGREE_MAX), and the rational fixed
+points of a map (candidate valuations from the Newton polygons of
+phi(X) - X, plus exact verification).
 
 Evaluation and the Taylor shift run on plain integers: the integer form of
 P is W = lcm of the coefficient denominators and A_i = W * a_i, kept on the
@@ -19,10 +20,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .primes import divisors
-from .valuation import PreconditionError, RationalLike, as_fraction
-
-DEFAULT_DEGREE_CAP = 10**6
+from .newton import newton_polygon
+from .primes import factorize
+from .valuation import PreconditionError, RationalLike, as_fraction, val
 
 
 class RationalPoly:
@@ -190,28 +190,33 @@ class RationalPoly:
         return [Fraction(e, w * npow[d - k]) for k, e in enumerate(b)]
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
-        """self(inner(X)), by Horner's rule in the polynomial ring."""
+        """self(inner(X)), by Horner's rule in the polynomial ring.
+
+        Refuses, before doing any work, a result of degree above
+        MAP_DEGREE_MAX: the cost grows with the square of that degree.
+        """
+        d = (len(self._coeffs) - 1) * (len(inner._coeffs) - 1)
+        if d > MAP_DEGREE_MAX:
+            raise PreconditionError(
+                f"composition degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
+            )
         acc = RationalPoly()
         for c in reversed(self._coeffs):
             acc = acc * inner + RationalPoly.constant(c)
         return acc
 
-    def iterate(self, m: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> "RationalPoly":
+    def iterate(self, m: int) -> "RationalPoly":
         """The m-fold composition of self with itself; m = 0 gives X.
 
-        Refuses (before doing any work) iterates whose degree d**m would
-        exceed ``degree_cap``.  For degree >= 2 the leading coefficient of
-        the iterate is lc**((d**m - 1)/(d - 1)), which is asserted.
+        Each step is a ``compose``, so an iterate of degree above
+        MAP_DEGREE_MAX is refused.  For degree >= 2 the leading coefficient
+        of the iterate is lc**((d**m - 1)/(d - 1)), which is asserted.
         """
         if m < 0:
             raise PreconditionError("iteration count must be nonnegative")
         if self.is_zero:
             raise PreconditionError("cannot iterate the zero polynomial")
         d = self.degree
-        if d >= 2 and d**m > degree_cap:
-            raise PreconditionError(
-                f"iterate degree {d}**{m} exceeds the cap {degree_cap}"
-            )
         result = RationalPoly.identity()
         for _ in range(m):
             result = self.compose(result)
@@ -224,31 +229,33 @@ class RationalPoly:
     def rational_fixed_points(self) -> list[Fraction]:
         """All rational solutions of self(x) = x, each verified exactly.
 
-        Uses the rational root theorem on the denominator-cleared form of
-        self(X) - X; every candidate is checked by exact evaluation.
+        Let a_0 + ... + a_k X**k (a_0, a_k != 0) be the content-free integer
+        form of self(X) - X over its power of X.  At each prime q of a_0*a_k a
+        nonzero rational root has valuation v = minus an integral slope of the
+        q-adic Newton polygon, elsewhere 0; each candidate +-prod q**v with
+        |a_0| / sum|a_i| <= |x| <= sum|a_i| / |a_k| is checked exactly.  As v
+        lies in [-v_q(a_k), v_q(a_0)], one value per coprime divisor pair
+        r | a_0, s | a_k, this makes no more evaluations than a divisor loop.
         """
         psi = self - RationalPoly.identity()
         if psi.is_zero:
             raise PreconditionError("identity map: every rational point is fixed")
-        roots: set[Fraction] = set()
-        coeffs = list(psi.coefficients)
-        low = 0
-        while coeffs[low] == 0:
-            low += 1
-        if low > 0:
-            roots.add(Fraction(0))
-            coeffs = coeffs[low:]
-        if len(coeffs) > 1:
-            ints = map_invariant(psi, _integer_form)[1][low:]
-            content = gcd(*ints)
-            ints = [c // content for c in ints]
-            for r in divisors(abs(ints[0])):
-                for s in divisors(abs(ints[-1])):
-                    if gcd(r, s) != 1:
-                        continue
-                    for cand in (Fraction(r, s), Fraction(-r, s)):
-                        if psi(cand) == 0:
-                            roots.add(cand)
+        ints = map_invariant(psi, _integer_form)[1]
+        low = next(i for i, a in enumerate(ints) if a)
+        roots = [Fraction(0)] if low else []
+        content = gcd(*ints)
+        ints = [a // content for a in ints[low:]]
+        if len(ints) > 1:
+            candidates = [Fraction(1)]
+            for q in factorize(abs(ints[0])) | factorize(abs(ints[-1])):
+                polygon = newton_polygon((i, val(a, q)) for i, a in enumerate(ints))
+                powers = [Fraction(q) ** -s.slope for s in polygon.segments
+                          if s.slope.denominator == 1]
+                candidates = [c * qv for qv in powers for c in candidates]
+            total = sum(map(abs, ints))
+            lo, hi = Fraction(abs(ints[0]), total), Fraction(total, abs(ints[-1]))
+            roots += [x for c in candidates if lo <= c <= hi
+                      for x in (c, -c) if psi(x) == 0]
         return sorted(roots)
 
 

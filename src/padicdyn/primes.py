@@ -1,8 +1,8 @@
-"""Integer primality, factorization, and divisor enumeration.
+"""Integer primality and factorization.
 
-Deterministic Miller-Rabin for the sizes that arise in practice, Pollard's
-rho for factoring, and divisor lists built from the factorization.  These
-support prime validation of places and rational root candidates.
+Deterministic Miller-Rabin for the sizes that arise in practice and Pollard's
+rho for factoring.  These support prime validation of places and the primes
+of coefficients: denominators, and the end coefficients of a fixed-point search.
 """
 
 from __future__ import annotations
@@ -115,10 +115,3 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(m // d)
     return dict(sorted(factors.items()))
 
-
-def divisors(n: int) -> list[int]:
-    """Return all positive divisors of ``n`` >= 1, ascending."""
-    divs = [1]
-    for p, k in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(k + 1)]
-    return sorted(divs)

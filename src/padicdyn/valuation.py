@@ -197,7 +197,7 @@ def in_value_group(sigma: RationalLike, e: int) -> bool:
     This is the value-group membership test for a place of ramification
     index ``e``: sigma is in the group iff e*sigma is an integer.
     """
-    if not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise PreconditionError(f"ramification index must be a positive integer, got {e!r}")
     return (as_fraction(sigma) * e).denominator == 1
 
@@ -214,9 +214,9 @@ class Place:
     e: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 2 or not is_prime(self.p):
+        if type(self.p) is not int or self.p < 2 or not is_prime(self.p):
             raise PreconditionError(f"place requires a prime, got {self.p!r}")
-        if not isinstance(self.e, int) or self.e < 1:
+        if type(self.e) is not int or self.e < 1:
             raise PreconditionError(
                 f"ramification index must be a positive integer, got {self.e!r}"
             )

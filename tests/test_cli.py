@@ -196,6 +196,8 @@ class TestExitCodes:
             ["survey", "X^2", "--prime", "2", "--max-height", "inf"],
             ["height", "X^2", "2", "--eps", "inf"],
             ["height", "X^2", "2", "--eps", "nan"],
+            ["survey", "X^2", "--prime", "2", "--max-height", "0", "--eps", "nan"],
+            ["survey", "X^2", "--prime", "2", "--max-height", "0", "--eps", "-5"],
         ],
     )
     def test_non_finite_float_option_exits_three(self, argv, capsys):

@@ -2,9 +2,11 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,11 @@ from padicdyn.polynomial import MAP_DEGREE_MAX, map_degree
 
 def P(*ascending):
     return RationalPoly([F(c) for c in ascending])
+
+
+_LCM_28 = math.lcm(*range(1, 29))
+# a 50-digit semiprime whose factors are out of Pollard rho's reach
+_SEMIPRIME = (10**24 + 7) * (10**25 + 13)
 
 
 class TestRingBasics:
@@ -186,6 +193,15 @@ class TestCompose:
         outer, inner = RationalPoly(outer_cs), RationalPoly(inner_cs)
         assert outer.compose(inner)(x) == outer(inner(x))
 
+    def test_degree_cap(self):
+        x16 = RationalPoly.monomial(16)
+        assert x16.compose(x16) == RationalPoly.monomial(MAP_DEGREE_MAX)
+        started = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            RationalPoly.monomial(MAP_DEGREE_MAX + 1).compose(P(1, 1))
+        assert time.perf_counter() - started < 0.1
+        assert str(err.value) == "composition degree 257 exceeds MAP_DEGREE_MAX = 256"
+
 
 class TestIterate:
     def test_square_twice(self):
@@ -217,11 +233,11 @@ class TestIterate:
             assert it.leading_coefficient == F(3) ** (2**m - 1)
 
     def test_degree_cap(self):
-        with pytest.raises(PreconditionError):
-            P(0, 0, 1).iterate(21)  # 2^21 > 10^6
-        P(0, 0, 1).iterate(4, degree_cap=16)
-        with pytest.raises(PreconditionError):
-            P(0, 0, 1).iterate(5, degree_cap=16)
+        assert P(0, 0, 1).iterate(8) == RationalPoly.monomial(MAP_DEGREE_MAX)
+        for m in (9, 21):  # 2^9 = 512 > MAP_DEGREE_MAX
+            with pytest.raises(PreconditionError) as err:
+                P(0, 0, 1).iterate(m)
+            assert str(err.value) == "composition degree 512 exceeds MAP_DEGREE_MAX = 256"
 
     def test_negative_iterate_rejected(self):
         with pytest.raises(PreconditionError):
@@ -260,6 +276,43 @@ class TestRationalFixedPoints:
             )
             for x in q.rational_fixed_points():
                 assert q(x) == x
+
+    def test_matches_sympy_rational_roots(self):
+        # planted roots r/s (r = 0 gives a zero root), some repeated, and now
+        # and then a quadratic factor, under a content > 1 and a rational scale
+        rng = random.Random(15)
+        x = sympy.Symbol("x")
+        for _ in range(150):
+            d = rng.randint(2, 6)
+            psi = P(rng.choice([1, 2, 6, 35]) * F(rng.randint(1, 9), rng.randint(1, 9)))
+            while psi.degree < d:
+                if psi.degree + 2 <= d and rng.random() < 0.3:
+                    factor = P(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 4))
+                else:
+                    factor = P(rng.randint(-9, 9), rng.randint(1, 6))
+                psi = psi * factor
+                if psi.degree + factor.degree <= d and rng.random() < 0.2:
+                    psi = psi * factor
+            oracle = sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator) for c in reversed(psi.coefficients)],
+                x,
+            ).ground_roots()
+            fixed = (psi + P(0, 1)).rational_fixed_points()
+            assert fixed == sorted(F(int(r.p), int(r.q)) for r in oracle)
+
+    @pytest.mark.parametrize(
+        "phi, fixed",
+        [
+            (P(_LCM_28, 0, 0, _LCM_28), []),  # N X^3 + N
+            (P(0, 1) + P(-1, 1) * P(_LCM_28, -1, _LCM_28), [F(1)]),  # X + (X-1)(N X^2 - X + N)
+            (P(-_SEMIPRIME, 1, _SEMIPRIME), [F(-1), F(1)]),  # the content is never factored
+        ],
+        ids=["lcm-cubic", "lcm-three-slopes", "semiprime-content"],
+    )
+    def test_large_end_coefficients_answer_within_a_second(self, phi, fixed):
+        started = time.perf_counter()
+        assert phi.rational_fixed_points() == fixed
+        assert time.perf_counter() - started < 1.0
 
 
 class TestDerivative:

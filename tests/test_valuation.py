@@ -109,8 +109,9 @@ class TestValueGroup:
         assert in_value_group(F(1, 2), 2) is True
 
     def test_requires_positive_index(self):
-        with pytest.raises(PreconditionError):
-            in_value_group(F(1, 2), 0)
+        for e in (0, True):
+            with pytest.raises(PreconditionError):
+                in_value_group(F(1, 2), e)
 
 
 class TestPlace:
@@ -126,8 +127,9 @@ class TestPlace:
             Place(6)
 
     def test_rejects_bad_ramification(self):
-        with pytest.raises(PreconditionError):
-            Place(5, 0)
+        for e in (0, True):
+            with pytest.raises(PreconditionError):
+                Place(5, e)
 
 
 def test_precondition_error_is_one_class():
