@@ -115,14 +115,19 @@ def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
     """
     if zeta.is_type_i:
         return val(poly(zeta.center), zeta.p)
-    best: Valuation = INF
-    for n, c in enumerate(poly.taylor_coefficients(zeta.center)):
-        if c == 0:
-            continue
-        term = n * zeta.rho + val(c, zeta.p)
-        if term < best:
-            best = term
-    return best
+    return _taylor_min(poly.taylor_coefficients(zeta.center), 0, zeta.rho, zeta.p)
+
+
+def _taylor_min(tay: list[Fraction], start: int, rho: Fraction, p: int) -> Valuation:
+    """min of n*rho + val(c_n) over n >= start with c_n != 0, else INF: a
+    disc's seminorm from n = 0, its image radius from n = 1.  The membership
+    loop keeps its own copy on purpose: the bench's ``orbits`` gate replays
+    its verdicts through ``pushforward``, so shared code would check the
+    engine against itself."""
+    return min(
+        (n * rho + val(c, p) for n, c in enumerate(tay[start:], start) if c != 0),
+        default=INF,
+    )
 
 
 def leq(zeta: DiscPoint, other: DiscPoint) -> bool:
@@ -166,14 +171,7 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
     if zeta.is_type_i:
         return DiscPoint(phi(zeta.center), INF, zeta.p)
     tay = phi.taylor_coefficients(zeta.center)
-    rho_new: Valuation = INF
-    for n in range(1, len(tay)):
-        if tay[n] == 0:
-            continue
-        term = n * zeta.rho + val(tay[n], zeta.p)
-        if term < rho_new:
-            rho_new = term
-    return DiscPoint(tay[0], rho_new, zeta.p)
+    return DiscPoint(tay[0], _taylor_min(tay, 1, zeta.rho, zeta.p), zeta.p)
 
 
 class _LocalInvariants:

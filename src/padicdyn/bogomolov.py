@@ -166,9 +166,9 @@ def check_criterion(phi: RationalPoly, place) -> BogomolovCertificate:
             "constant term vanishes; Newton polygon hypothesis violated"
         )
     psi = phi - RationalPoly.identity()
-    points = [(i, val(psi.coefficient(i), pl.p)) for i in range(d + 1)]
+    points = [(i, val(psi.coefficient(i), pl)) for i in range(d + 1)]
     polygon = newton_polygon(points)
-    lead = val(phi.leading_coefficient, pl.p)
+    lead = val(phi.leading_coefficient, pl)
     assert is_finite(lead)
     return _scan(polygon, lead, d, pl, abstract=False)
 

@@ -34,6 +34,9 @@ from .valuation import PreconditionError
 # limit for int-to-str conversion, so bounds_to_csv can print every row;
 # lcm(1..9859) is the first over it.
 BOUND_TABLE_E_MAX = 9000
+# The prime-power sieve takes n + 1 bytes and lcm(1..n) has about 1.44*n
+# bits, so lcm_range and verify_lcm_exponential_bound refuse a larger n.
+LCM_N_MAX = 10**6
 
 # log2(3) > 19/12, proved exactly by 2**19 = 524288 < 531441 = 3**12.
 _LOG2_3_NUM, _LOG2_3_DEN = 19, 12
@@ -53,10 +56,12 @@ def lcm_list(values: Sequence[int]) -> tuple[int, int]:
 
 
 def lcm_range(n: int) -> int:
-    """lcm(1..n) exactly."""
-    if n < 1:
-        raise PreconditionError("lcm range requires n >= 1")
-    return math.lcm(*range(1, n + 1))
+    """lcm(1..n) exactly: one factor p at each prime power p**k <= n."""
+    if not isinstance(n, int) or not 1 <= n <= LCM_N_MAX:
+        raise PreconditionError(
+            f"lcm range requires an integer 1 <= n <= LCM_N_MAX = {LCM_N_MAX}, got {n!r}"
+        )
+    return math.prod(p for _, p in _prime_powers(n))
 
 
 def log_pottmeyer(e: int, c: float = 1.0) -> float:
@@ -181,8 +186,10 @@ def verify_lcm_exponential_bound(n_max: int) -> bool:
     small-integer log bounds, or, where they do not decide, by the exact
     big-integer comparison.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise PreconditionError("n_max must be a positive integer")
+    if not isinstance(n_max, int) or not 1 <= n_max <= LCM_N_MAX:
+        raise PreconditionError(
+            f"n_max must be an integer in 1..LCM_N_MAX = {LCM_N_MAX}, got {n_max!r}"
+        )
     return all(holds for _, _, holds in _lcm_events(n_max))
 
 

@@ -37,7 +37,7 @@ from .bounds import bound_table, bounds_to_csv, find_crossover
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
 from .polynomial import MAP_DEGREE_MAX, RationalPoly
-from .valuation import INF, Place, PreconditionError, as_fraction, is_finite, val
+from .valuation import INF, Place, PreconditionError, as_fraction, as_place, is_finite, val
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,7 +140,7 @@ def _disc_point(args: argparse.Namespace) -> DiscPoint:
 
 def _cmd_np(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.poly)
-    p = Place(args.prime).p
+    p = as_place(args.prime).p
     polygon = newton_polygon((i, val(c, p)) for i, c in enumerate(poly.coefficients))
     print(json.dumps(polygon.to_json_dict()))
     return EXIT_OK

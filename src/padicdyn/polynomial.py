@@ -209,11 +209,15 @@ class RationalPoly:
         """The m-fold composition of self with itself; m = 0 gives X.
 
         Each step is a ``compose``, so an iterate of degree above
-        MAP_DEGREE_MAX is refused.  For degree >= 2 the leading coefficient
-        of the iterate is lc**((d**m - 1)/(d - 1)), which is asserted.
+        MAP_DEGREE_MAX is refused, and so is m above MAP_DEGREE_MAX, which
+        bounds the steps of a map of degree <= 1.  For degree >= 2 the
+        leading coefficient of the iterate is lc**((d**m - 1)/(d - 1)), which
+        is asserted.
         """
-        if m < 0:
-            raise PreconditionError("iteration count must be nonnegative")
+        if not 0 <= m <= MAP_DEGREE_MAX:
+            raise PreconditionError(
+                f"iteration count must be in 0..MAP_DEGREE_MAX = {MAP_DEGREE_MAX}, got {m!r}"
+            )
         if self.is_zero:
             raise PreconditionError("cannot iterate the zero polynomial")
         d = self.degree

@@ -15,6 +15,7 @@ the value group of the induced valuation on a ramified extension is
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,27 +145,17 @@ def _json_int(x: object, what: str) -> int:
     return x
 
 
-# Places already built from an exact int, so that a prime is tested once.
-# Only ``type(place) is int`` is looked up: 2.0, True and Fraction(2) hash and
-# compare equal to 2 and must still be refused.  Bounded, since any int may
-# come in; once full, further places are built and checked on every call.
-_PLACES: dict[int, "Place"] = {}
-_PLACES_MAX = 64
-
-
 def as_place(place: Place | int) -> Place:
     """Coerce a Place or a bare prime to a Place.
 
     Anything else raises PreconditionError("place requires a prime ...")
-    from ``Place`` itself, the one place check of the package.
+    from ``Place`` itself, the one place check of the package.  Places built
+    from an exact int are memoised, so a prime is tested once; only
+    ``type(place) is int`` reaches the memo, since 2.0, True and Fraction(2)
+    hash and compare equal to 2 and must still be refused.
     """
     if type(place) is int:
-        pl = _PLACES.get(place)
-        if pl is None:
-            pl = Place(place)
-            if len(_PLACES) < _PLACES_MAX:
-                _PLACES[place] = pl
-        return pl
+        return _int_place(place)
     return place if isinstance(place, Place) else Place(place)
 
 
@@ -220,6 +211,9 @@ class Place:
             raise PreconditionError(
                 f"ramification index must be a positive integer, got {self.e!r}"
             )
+
+
+_int_place = functools.lru_cache(maxsize=64)(Place)
 
 
 def reduce_mod_prime_power(x: Fraction, p: int, k: int) -> Fraction:

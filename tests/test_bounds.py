@@ -1,8 +1,10 @@
 """Height-gap lower-bound curves and the lcm growth estimate."""
 
 import math
+import time
 
 import pytest
+import sympy
 
 from padicdyn import bounds
 from padicdyn import (
@@ -15,7 +17,7 @@ from padicdyn import (
     pottmeyer_bound,
     verify_lcm_exponential_bound,
 )
-from padicdyn.bounds import BOUND_TABLE_E_MAX
+from padicdyn.bounds import BOUND_TABLE_E_MAX, LCM_N_MAX
 
 
 class TestLcmHelpers:
@@ -27,6 +29,30 @@ class TestLcmHelpers:
     def test_range_form(self):
         assert lcm_range(1) == 1
         assert lcm_range(10) == 2520
+
+    def test_range_form_against_oracles(self):
+        lcm = 1
+        for n in range(1, 601):
+            lcm = math.lcm(lcm, n)
+            assert lcm_range(n) == lcm, n
+        # lcm(1..n) is the product of the largest power of each prime <= n
+        n, product = 10**5, 1
+        for p in sympy.primerange(2, n + 1):
+            q = p
+            while q * p <= n:
+                q *= p
+            product *= q
+        assert lcm_range(n) == product
+        start = time.perf_counter()
+        assert lcm_range(3 * 10**5).bit_length() > 3 * 10**5
+        assert time.perf_counter() - start < 2
+
+    def test_refuses_n_above_cap(self):
+        for take in (lcm_range, verify_lcm_exponential_bound):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="LCM_N_MAX"):
+                take(LCM_N_MAX + 1)
+            assert time.perf_counter() - start < 0.1
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):

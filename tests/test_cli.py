@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import padicdyn
 
+from padicdyn import valuation
 from padicdyn import (
     PolynomialSyntaxError,
     RationalPoly,
@@ -183,6 +184,16 @@ class TestExitCodes:
         code = run(["np", "X+1", "--prime", "6"])
         assert code == 3
         assert "prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, prime", [("np", 2**89 - 1), ("bogomolov", 2**107 - 1)])
+    def test_a_new_prime_is_tested_once(self, command, prime, monkeypatch, capsys):
+        calls = []
+        is_prime = valuation.is_prime
+        monkeypatch.setattr(valuation, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        valuation._int_place.cache_clear()  # the prime must be new to the place memo
+        assert run([command, "X^2+1", "--prime", str(prime)]) in (0, 10)
+        capsys.readouterr()
+        assert calls.count(prime) == 1
 
     def test_np_of_constant_is_a_degenerate_polygon(self, capsys):
         for text in ("0", "5"):

@@ -243,6 +243,15 @@ class TestIterate:
         with pytest.raises(PreconditionError):
             P(0, 0, 1).iterate(-1)
 
+    def test_iteration_count_cap(self):
+        # an affine map never exceeds the degree cap, so m itself is capped
+        assert P(1, 1).iterate(MAP_DEGREE_MAX) == P(MAP_DEGREE_MAX, 1)
+        for q, m in ((P(1, 1), MAP_DEGREE_MAX + 1), (P(0, 2), 10**9)):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="MAP_DEGREE_MAX = 256"):
+                q.iterate(m)
+            assert time.perf_counter() - start < 0.1
+
 
 class TestRationalFixedPoints:
     def test_square(self):
