@@ -480,11 +480,8 @@ def _simplest_open(lo: Fraction, hi: Fraction) -> Fraction:
         gap = hi - lo
         n = 1 // gap + 1
         return lo + Fraction(1, int(n))
-    shifted_lo = lo - floor_lo
-    shifted_hi = hi - floor_lo
-    if shifted_hi > 1:
-        return Fraction(floor_lo + 1)
-    return floor_lo + 1 / _simplest_open(1 / shifted_hi, 1 / shifted_lo)
+    # hi <= floor_lo + 1 here, or the first test would have returned.
+    return floor_lo + 1 / _simplest_open(1 / (hi - floor_lo), 1 / (lo - floor_lo))
 
 
 MAX_POINT_TOLERANCE = Fraction(1, 2**20)

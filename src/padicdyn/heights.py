@@ -277,23 +277,9 @@ def _horner_iv(
     lo, hi = next(coeffs)
     for c_lo, c_hi in coeffs:
         if xlo >= 0:
-            if lo >= 0:
-                p_lo, p_hi = lo * xlo, hi * xhi
-            elif hi <= 0:
-                p_lo, p_hi = lo * xhi, hi * xlo
-            else:
-                p_lo, p_hi = lo * xhi, hi * xhi
+            p_lo, p_hi = lo * (xlo if lo >= 0 else xhi), hi * (xhi if hi >= 0 else xlo)
         elif xhi <= 0:
-            if lo >= 0:
-                p_lo, p_hi = hi * xlo, lo * xhi
-            elif hi <= 0:
-                p_lo, p_hi = hi * xhi, lo * xlo
-            else:
-                p_lo, p_hi = hi * xlo, lo * xlo
-        elif lo >= 0:
-            p_lo, p_hi = hi * xlo, hi * xhi
-        elif hi <= 0:
-            p_lo, p_hi = lo * xhi, lo * xlo
+            p_lo, p_hi = hi * (xlo if hi >= 0 else xhi), lo * (xhi if lo >= 0 else xlo)
         else:
             p_lo, p_hi = min(lo * xhi, hi * xlo), max(lo * xlo, hi * xhi)
         lo = (p_lo >> prec) + c_lo
@@ -319,8 +305,8 @@ def _arch_attempt(
     esc_num, esc_den = arch.esc[0] << prec, arch.esc[1]
     u_num, u_den = arch.u_ratio[0] << prec, arch.u_ratio[1]
     scale = 1 << prec
-    m = 0
-    while m <= steps + 80:
+    last = steps + 79
+    for m in range(last + 1):
         if lo >= 0:
             alo, ahi = lo, hi
         elif hi <= 0:
@@ -332,7 +318,7 @@ def _arch_attempt(
             # enough that the remaining correction fits the budget.
             u_up = u_num / (u_den * alo) * 1.02 + 1e-300
             damp = math.exp(-m * math.log(d))
-            if not (u_up * damp * 8.0 > budget and m <= steps + 78):
+            if not (u_up * damp * 8.0 > budget and m < last):
                 ylo = math.log(alo / scale)
                 yhi = math.log(ahi / scale)
                 slop = 6 * math.ulp(1.0 + abs(yhi))
@@ -353,8 +339,6 @@ def _arch_attempt(
             bound = math.exp(-steps * math.log(d)) * arch.kappa * 1.01
             return LocalContribution(0.0, min(bound, budget), None, None)
         lo, hi = _horner_iv(coeffs_iv, lo, hi, prec)
-        m += 1
-    return None
 
 
 # -- preperiodicity -----------------------------------------------------------

@@ -34,7 +34,7 @@ from padicdyn import (
     val,
     verdict_to_json_dict,
 )
-from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, MEMBERSHIP_RHO_MAX
+from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, MEMBERSHIP_RHO_MAX, _simplest_open
 
 
 def P(*ascending):
@@ -574,6 +574,22 @@ class TestMaxPoint:
     def test_non_preperiodic_center_rejected(self):
         with pytest.raises(PreconditionError):
             max_point(P(F(1, 2), 0, 1), F(0), 2)  # 0 -> 1/2 -> ... escapes
+
+    def test_simplest_open_against_brute_force(self):
+        # The snap rational: the least denominator q, then the least k with
+        # lo < k/q < hi.  Wide pairs (hi past floor(lo) + 1) and integer lo
+        # take the early returns; narrow pairs take the descent.
+        def oracle(lo, hi):
+            q = 1
+            while F(lo.numerator * q // lo.denominator + 1, q) >= hi:
+                q += 1
+            return F(lo.numerator * q // lo.denominator + 1, q)
+
+        rng = random.Random(20260)
+        for _ in range(20_000):
+            lo = rand_fraction(rng, -40, 40, rng.choice((1, 7, 60)))
+            hi = lo + F(rng.randint(1, 300), rng.randint(1, 400))
+            assert _simplest_open(lo, hi) == oracle(lo, hi), (lo, hi)
 
     def test_results_serialize(self):
         result = max_point(P(0, 0, 1), F(0), 2)

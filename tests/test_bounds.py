@@ -1,6 +1,7 @@
 """Height-gap lower-bound curves and the lcm growth estimate."""
 
 import math
+import random
 import time
 
 import pytest
@@ -61,6 +62,26 @@ class TestLcmHelpers:
             lcm_list([3, 0])
         with pytest.raises(PreconditionError):
             lcm_list([2, -4])
+
+    def test_list_form_against_fold(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            top = rng.choice((10, 100, 1000, 10**4))
+            vals = [rng.randint(1, top) for _ in range(rng.randint(1, 30))]
+            assert lcm_list(vals) == (math.lcm(*vals), max(vals)), vals
+        vals = [LCM_N_MAX, 999_983, 2**19, 3**12]
+        assert lcm_list(vals) == (math.lcm(*vals), LCM_N_MAX)
+        start = time.perf_counter()
+        lcm, top = lcm_list(range(1, 2 * 10**5))
+        assert time.perf_counter() - start < 2
+        assert (lcm, top) == (lcm_range(2 * 10**5 - 1), 2 * 10**5 - 1)
+
+    def test_list_form_refuses_above_cap_and_bools(self):
+        for vals, match in (([LCM_N_MAX + 1], "LCM_N_MAX"), ([2, True], "positive integers")):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=match):
+                lcm_list(vals)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestBoundTable:

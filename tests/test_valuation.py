@@ -1,9 +1,11 @@
 """Valuation arithmetic: exact values, the infinity element, and the place gate."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from padicdyn import (
     good_reduction,
     in_value_group,
     is_finite,
+    is_prime,
     local_escape_rate,
     max_point,
     reduce_mod_prime_power,
@@ -150,6 +153,40 @@ def test_factorize_refuses_factors_out_of_reach():
     with pytest.raises(PreconditionError, match="FACTORIZE_RHO_STEPS"):
         factorize(n)
     assert factorize(2**3 * 999_983 * 1_000_003) == {2: 3, 999_983: 1, 1_000_003: 1}
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases (Sorenson
+# and Webster, Math. Comp. 86 (2017)).  psi_13 is _MR_DETERMINISTIC_LIMIT.
+_PSI9 = 3_825_123_056_546_413_051
+_PSI12 = 318_665_857_834_031_151_167_461
+_PSI13 = 3_317_044_064_679_887_385_961_981
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 75361)
+
+
+def test_is_prime_and_factorize_against_sympy():
+    assert primes._MR_DETERMINISTIC_LIMIT == _PSI13
+    rng = random.Random(2017)
+    small = [rng.randrange(1, 10**12) for _ in range(400)]
+    small += [*_CARMICHAEL, _PSI9]
+    small += [q**k for q in (2, 3, 47, 53, 999_983, 1_000_003) for k in (1, 2, 3)]
+    for n in small:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert factorize(n) == sympy.factorint(n), n
+    # psi_12 passes the first 12 bases; from psi_13 on the random witnesses
+    # join in: known primes, their products with small primes, and random n
+    big = [_PSI12, _PSI13, 2**89 - 1, 2**107 - 1, 2**127 - 1, 53 * (2**89 - 1)]
+    big += [rng.randrange(_PSI13, 2**100) for _ in range(200)]
+    for n in big:
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(50):
+        n = math.prod(int(sympy.nextprime(rng.randrange(10**6))) for _ in range(6))
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_strong_pseudoprime_to_twelve_bases_is_no_place():
+    assert factorize(_PSI12) == {399_165_290_221: 1, 798_330_580_441: 1}
+    with pytest.raises(PreconditionError, match="place requires a prime"):
+        Place(_PSI12)
 
 
 _PHI = RationalPoly([F(1, 3), 0, 1])  # X^2 + 1/3
