@@ -35,8 +35,7 @@ from .valuation import PreconditionError
 # lcm(1..9859) is the first over it.
 BOUND_TABLE_E_MAX = 9000
 # The prime-power sieve takes n + 1 bytes and lcm(1..n) has about 1.44*n
-# bits, so lcm_range, lcm_list and verify_lcm_exponential_bound refuse a
-# larger n.
+# bits, so lcm_range and verify_lcm_exponential_bound refuse a larger n.
 LCM_N_MAX = 10**6
 
 # log2(3) > 19/12, proved exactly by 2**19 = 524288 < 531441 = 3**12.
@@ -47,23 +46,18 @@ _LOG_SCALE = 16
 
 
 def lcm_list(values: Sequence[int]) -> tuple[int, int]:
-    """Exact least common multiple and maximum of integers in 1..LCM_N_MAX:
-    one factor p at each prime power p**k that divides some value."""
-    present = bytearray()  # present[v] == 1 iff v is a value
-    for v in values:
-        if type(v) is not int or v < 1:
-            raise PreconditionError("lcm requires positive integers")
-        if v > LCM_N_MAX:
-            raise PreconditionError(
-                f"lcm list values must be at most LCM_N_MAX = {LCM_N_MAX}, got {v}"
-            )
-        if v >= len(present):
-            present += bytes(v + 1 - len(present))
-        present[v] = 1
-    if not present:
+    """Exact least common multiple and maximum of positive integers."""
+    vals = list(values)
+    if not vals:
         raise PreconditionError("lcm of an empty list")
-    top = len(present) - 1
-    return math.prod(p for q, p in _prime_powers(top) if 1 in present[q::q]), top
+    if any(type(v) is not int or v < 1 for v in vals):
+        raise PreconditionError("lcm requires positive integers")
+    top = max(vals)
+    # Pairwise lcms in a balanced tree: a left fold multiplies the whole
+    # running lcm into every value, which is quadratic in the list's length.
+    while len(vals) > 1:
+        vals = [math.lcm(*vals[i : i + 2]) for i in range(0, len(vals), 2)]
+    return vals[0], top
 
 
 def lcm_range(n: int) -> int:
