@@ -10,21 +10,25 @@ Three bound shapes are compared at each ramification index e:
 
 The arithmetic fact behind the comparison, lcm(1..e) <= 3**e (equivalently
 new_bound >= nine_exp), is certified exactly.  lcm(1..n) changes only at
-prime powers n = p**k, where it gains one factor p, so only those ~n/log(n)
-events are checked.  At each one a running sum of small integers bounds
-log2 lcm(1..n) from above and is compared with a rational lower bound for
-n*log2(3); this is Chebyshev's psi(n) <= n*log(3), which Rosser and
-Schoenfeld's psi(x) < 1.03883*x leaves with room to spare.  Wherever that
-integer test does not decide, lcm(1..n) <= 3**n is compared on big integers,
-so the answer is exact in every case.
+prime powers n = p**k, where it gains one factor p.  A running sum of small
+integers, one rounded-up log2 p per prime power, bounds log2 lcm(1..n) from
+above and is compared with a rational lower bound for n*log2(3); this is
+Chebyshev's psi(n) <= n*log(3), which Rosser and Schoenfeld's
+psi(x) < 1.03883*x leaves with room to spare.  The summand is constant on
+each bit-length interval of p, so the sum is advanced and compared one
+interval at a time (303 intervals up to 10**6, against 78,734 prime powers).
+An interval the test does not decide is walked one prime power at a time,
+and wherever that does not decide either, lcm(1..n) <= 3**n is compared on
+big integers, so the answer is exact in every case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .valuation import PreconditionError
 
@@ -52,12 +56,7 @@ def lcm_list(values: Sequence[int]) -> tuple[int, int]:
         raise PreconditionError("lcm of an empty list")
     if any(type(v) is not int or v < 1 for v in vals):
         raise PreconditionError("lcm requires positive integers")
-    top = max(vals)
-    # Pairwise lcms in a balanced tree: a left fold multiplies the whole
-    # running lcm into every value, which is quadratic in the list's length.
-    while len(vals) > 1:
-        vals = [math.lcm(*vals[i : i + 2]) for i in range(0, len(vals), 2)]
-    return vals[0], top
+    return _balanced(math.lcm, vals), max(vals)
 
 
 def lcm_range(n: int) -> int:
@@ -66,7 +65,17 @@ def lcm_range(n: int) -> int:
         raise PreconditionError(
             f"lcm range requires an integer 1 <= n <= LCM_N_MAX = {LCM_N_MAX}, got {n!r}"
         )
-    return math.prod(p for _, p in _prime_powers(n))
+    return _balanced(operator.mul, [p for _, p in _prime_powers(n)])
+
+
+def _balanced(op: Callable[[int, int], int], vals: list[int]) -> int:
+    """Fold vals with op (math.lcm or operator.mul, 1 being the identity of
+    both) in a balanced tree of pairs: a left fold carries the whole running
+    result into every step, which is quadratic in the number of values."""
+    vals = vals or [1]
+    while len(vals) > 1:
+        vals = [op(a, b) for a, b in itertools.zip_longest(vals[::2], vals[1::2], fillvalue=1)]
+    return vals[0]
 
 
 def log_pottmeyer(e: int, c: float = 1.0) -> float:
@@ -101,11 +110,11 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
 
     lcm(1..e) <= 3**e, which is exactly new_bound >= nine_exp
     (C/lcm**2 >= C*9**-e), holds on every row: it is certified by the same
-    prime-power walk as ``verify_lcm_exponential_bound``, which also gives
-    the lcm column.  float columns may underflow to 0 for large e; the
-    certificate never relies on them.  e_max is capped at
-    ``BOUND_TABLE_E_MAX``, which bounds the memory of the exact lcm column
-    and keeps every entry printable in decimal.
+    interval certificate as ``verify_lcm_exponential_bound``, and the lcm
+    column is built from the same prime-power sieve.  float columns may
+    underflow to 0 for large e; the certificate never relies on them.
+    e_max is capped at ``BOUND_TABLE_E_MAX``, which bounds the memory of the
+    exact lcm column and keeps every entry printable in decimal.
     """
     if not isinstance(e_max, int) or e_max < 1:
         raise PreconditionError("e_max must be a positive integer")
@@ -116,10 +125,8 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
         )
     if not (c > 0):
         raise PreconditionError("constant C must be positive")
-    factor_at: dict[int, int] = {}
-    for n, p, holds in _lcm_events(e_max):
-        assert holds, f"lcm(1..{n}) > 3**{n} would contradict Rosser-Schoenfeld"
-        factor_at[n] = p
+    assert _lcm_bound_holds(e_max), "lcm(1..e) > 3**e would contradict Rosser-Schoenfeld"
+    factor_at = dict(_prime_powers(e_max))
     rows: list[BoundRow] = []
     lcm_val = 1
     for e in range(1, e_max + 1):
@@ -146,40 +153,72 @@ def find_crossover(e_max: int, c: float = 1.0) -> int | None:
     return None
 
 
-def _prime_powers(n_max: int) -> Iterator[tuple[int, int]]:
-    """(p**k, p) for every prime power 1 < p**k <= n_max, by increasing p**k."""
+def _sieve(n_max: int) -> tuple[bytearray, dict[int, int]]:
+    """Prime flags for 0..n_max, and p**k -> p for every k >= 2 with p**k <= n_max."""
     is_prime = bytearray([1]) * (n_max + 1)
     is_prime[:2] = b"\x00\x00"
     for i in range(2, math.isqrt(n_max) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = bytes(len(range(i * i, n_max + 1, i)))
-    higher: dict[int, int] = {}  # p**k -> p for k >= 2
+    higher: dict[int, int] = {}
     for p in itertools.compress(range(math.isqrt(n_max) + 1), is_prime):
         q = p * p
         while q <= n_max:
             higher[q] = p
             q *= p
-    primes = itertools.compress(range(n_max + 1), is_prime)
-    for n in sorted(itertools.chain(primes, higher)):
-        yield n, higher.get(n, n)
+    return is_prime, higher
 
 
-def _lcm_events(n_max: int) -> Iterator[tuple[int, int, bool]]:
-    """(n, p, lcm(1..n) <= 3**n) at each prime power n = p**k <= n_max.
+def _prime_powers(
+    n_max: int, lo: int = 2, sieve: tuple[bytearray, dict[int, int]] | None = None
+) -> list[tuple[int, int]]:
+    """(p**k, p) for every prime power lo <= p**k <= n_max, by increasing p**k.
 
-    The running sum ``bits`` of rounded-up log2 p, scaled by _LOG_SCALE,
-    exceeds _LOG_SCALE * log2 lcm(1..n); once it is at most
-    _LOG_SCALE * n * 19/12 < _LOG_SCALE * n * log2(3), the bound holds.
-    Otherwise both sides are computed exactly.
+    ``sieve`` is ``_sieve(m)`` for some m >= n_max; by default n_max's own.
     """
-    bits = 0
-    for n, p in _prime_powers(n_max):
-        bits += (p**_LOG_SCALE).bit_length()
-        holds = (
-            _LOG2_3_DEN * bits <= _LOG2_3_NUM * _LOG_SCALE * n
-            or lcm_range(n) <= 3**n
-        )
-        yield n, p, holds
+    is_prime, higher = sieve or _sieve(n_max)
+    primes = itertools.compress(range(lo, n_max + 1), is_prime[lo : n_max + 1])
+    powers = (q for q in higher if lo <= q <= n_max)
+    return [(n, higher.get(n, n)) for n in sorted(itertools.chain(primes, powers))]
+
+
+def _least_with_bit_length(beta: int) -> int:
+    """Least p with (p**_LOG_SCALE).bit_length() >= beta, i.e. p**16 >= 2**(beta - 1)."""
+    # Four nested isqrts give the floor of the 16th root exactly.
+    root = math.isqrt(math.isqrt(math.isqrt(math.isqrt(1 << (beta - 1)))))
+    return root if root**_LOG_SCALE == 1 << (beta - 1) else root + 1
+
+
+def _lcm_bound_holds(n_max: int) -> bool:
+    """lcm(1..n) <= 3**n at every prime power n <= n_max, hence for all n <= n_max.
+
+    ``bits``, the running sum of (p**_LOG_SCALE).bit_length() over the prime
+    powers p**k <= n, exceeds _LOG_SCALE * log2 lcm(1..n); once it is at
+    most _LOG_SCALE * n * 19/12 < _LOG_SCALE * n * log2(3), the bound holds.
+    The summand is beta for every prime in [T(beta), T(beta + 1)), T being
+    ``_least_with_bit_length``, so over that interval ``bits`` grows by beta
+    per prime plus the summand of each higher prime power in it.  ``bits``
+    never decreases and every event of the interval is at least its start
+    lo, so one test of the interval's final sum against lo decides them all.
+    An interval that fails it is walked event by event, and an event the
+    per-event test does not decide is compared exactly on big integers.
+    """
+    sieve = is_prime, higher = _sieve(n_max)
+    powers = sorted(higher)
+    bits, beta, lo, j = 0, _LOG_SCALE + 1, 2, 0
+    while lo <= n_max:
+        hi = min(_least_with_bit_length(beta + 1), n_max + 1)
+        end = bits + beta * is_prime.count(1, lo, hi)
+        while j < len(powers) and powers[j] < hi:
+            end += (higher[powers[j]] ** _LOG_SCALE).bit_length()
+            j += 1
+        if _LOG2_3_DEN * end > _LOG2_3_NUM * _LOG_SCALE * lo:
+            for n, p in _prime_powers(hi - 1, lo, sieve):
+                bits += (p**_LOG_SCALE).bit_length()
+                if _LOG2_3_DEN * bits > _LOG2_3_NUM * _LOG_SCALE * n and lcm_range(n) > 3**n:
+                    return False
+        bits, beta, lo = end, beta + 1, hi
+    return True
 
 
 def verify_lcm_exponential_bound(n_max: int) -> bool:
@@ -187,15 +226,16 @@ def verify_lcm_exponential_bound(n_max: int) -> bool:
 
     lcm(1..n) changes only when n is a prime power (it gains one factor of
     the prime), so it suffices to compare at those events; between events
-    the left side is constant while 3**n grows.  Each event is certified by
-    small-integer log bounds, or, where they do not decide, by the exact
-    big-integer comparison.
+    the left side is constant while 3**n grows.  The events are certified
+    by small-integer log bounds one bit-length interval at a time, then one
+    event at a time, and where neither decides, by the exact big-integer
+    comparison.
     """
     if not isinstance(n_max, int) or not 1 <= n_max <= LCM_N_MAX:
         raise PreconditionError(
             f"n_max must be an integer in 1..LCM_N_MAX = {LCM_N_MAX}, got {n_max!r}"
         )
-    return all(holds for _, _, holds in _lcm_events(n_max))
+    return _lcm_bound_holds(n_max)
 
 
 def bounds_to_csv(rows: Sequence[BoundRow]) -> str:

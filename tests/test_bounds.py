@@ -48,6 +48,13 @@ class TestLcmHelpers:
         assert lcm_range(3 * 10**5).bit_length() > 3 * 10**5
         assert time.perf_counter() - start < 2
 
+    def test_range_form_at_cap_is_a_balanced_product(self):
+        # a left fold of its 78,734 factors, one per prime power, takes about 1.7 s
+        start = time.perf_counter()
+        lcm = lcm_range(LCM_N_MAX)
+        assert time.perf_counter() - start < 1
+        assert lcm == math.prod(p for _, p in bounds._prime_powers(LCM_N_MAX))
+
     def test_refuses_n_above_cap(self):
         for take in (lcm_range, verify_lcm_exponential_bound):
             start = time.perf_counter()
@@ -176,34 +183,56 @@ class TestLcmExponentialBound:
         assert (bounds._LOG2_3_NUM, bounds._LOG2_3_DEN) == (19, 12)
         assert 2**19 < 3**12
 
-    def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
-        # every event the integer log bound decides alone must satisfy
-        # lcm(1..n) <= 3**n on exact integers; no event up to 10**5 needs
-        # the big-integer fallback
-        fallback = []
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
-        events = list(bounds._lcm_events(100_000))
-        exact = list(_exact_lcm_walk(100_000))
-        assert [(n, p) for n, p, _ in events] == [(n, p) for n, p, _, _ in exact]
-        assert fallback == []
-        for (n, _, holds), (_, _, lcm_val, three_pow) in zip(events, exact):
-            assert holds and lcm_val <= three_pow, n
+    def test_interval_starts_against_brute_force(self):
+        # T(beta) is the least p whose summand (p**16).bit_length() is >= beta
+        for beta in range(17, 16 * 20 + 2):
+            t = bounds._least_with_bit_length(beta)
+            assert (t - 1) ** 16 < 2 ** (beta - 1) <= t**16, beta
 
-    def test_integer_bound_never_certifies_a_false_claim(self, monkeypatch):
-        # with log2(3) > 29/20 in place of 19/12 the certified claim,
-        # lcm(1..n)**20 < 2**(29*n), is false at some n <= 3000, so a sound
+    def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
+        # the interval test alone decides every event up to 10**5: no
+        # interval is walked event by event and the big-integer fallback is
+        # never called; each event holds on exact integers
+        events = bounds._prime_powers(100_000)
+        walk = bounds._prime_powers
+        walked, fallback = [], []
+        monkeypatch.setattr(bounds, "_prime_powers", lambda *a: walked.append(a) or walk(*a))
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
+        assert verify_lcm_exponential_bound(100_000) is True
+        assert walked == [] and fallback == []
+        exact = list(_exact_lcm_walk(100_000))
+        assert events == [(n, p) for n, p, _, _ in exact]
+        for n, _, lcm_val, three_pow in exact:
+            assert lcm_val <= three_pow, n
+
+    @pytest.mark.parametrize("num, den", [(29, 20), (43, 30), (7, 5)])
+    def test_integer_bound_never_certifies_a_false_claim(self, monkeypatch, num, den):
+        # with log2(3) > num/den in place of 19/12 the certified claim,
+        # lcm(1..n)**den < 2**(num*n), is false at some n <= 3000, so a sound
         # integer test must hand those events to the fallback
         fallback = []
-        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 29)
-        monkeypatch.setattr(bounds, "_LOG2_3_DEN", 20)
+        monkeypatch.setattr(bounds, "_LOG2_3_NUM", num)
+        monkeypatch.setattr(bounds, "_LOG2_3_DEN", den)
         monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
+        assert verify_lcm_exponential_bound(3000) is True
         certified = []
-        events = zip(bounds._lcm_events(3000), _exact_lcm_walk(3000))
-        for (n, _, _), (_, _, lcm_val, _) in events:
+        for n, _, lcm_val, _ in _exact_lcm_walk(3000):
             if n not in fallback:
                 certified.append(n)
-                assert (lcm_val**20).bit_length() <= 29 * n, n
+                assert (lcm_val**den).bit_length() <= num * n, n
         assert certified and fallback
+
+    def test_agrees_with_exact_walk_without_big_integers(self, monkeypatch):
+        exact = list(_exact_lcm_walk(100_000))
+        first_false = next((n for n, _, lcm, three in exact if lcm > three), math.inf)
+
+        def no_big_integers(n):
+            raise AssertionError(f"exact fallback called at n = {n}")
+
+        monkeypatch.setattr(bounds, "lcm_range", no_big_integers)
+        rng = random.Random(18)
+        for n_max in [*range(1, 2001), *(rng.randint(1, 100_000) for _ in range(200))]:
+            assert verify_lcm_exponential_bound(n_max) is (n_max < first_false), n_max
 
     def test_exact_fallback_decides_when_integer_bound_cannot(self, monkeypatch):
         calls = []
