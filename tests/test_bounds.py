@@ -1,12 +1,21 @@
 """Height-gap lower-bound curves and the lcm growth estimate."""
 
+import functools
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import padicdyn
 from padicdyn import bounds
 from padicdyn import (
     PreconditionError,
@@ -123,6 +132,50 @@ class TestBoundTable:
         with pytest.raises(PreconditionError, match="BOUND_TABLE_E_MAX"):
             bound_table(BOUND_TABLE_E_MAX + 1)
 
+    def test_row_is_an_immutable_named_tuple(self):
+        assert bounds.BoundRow._fields == ("e", "lcm_e", "pottmeyer", "new_bound", "nine_exp")
+        row = bounds.BoundRow(3, 6, 0.5, 0.25, 0.125)
+        assert repr(row) == "BoundRow(e=3, lcm_e=6, pottmeyer=0.5, new_bound=0.25, nine_exp=0.125)"
+        assert tuple(row) == (3, 6, 0.5, 0.25, 0.125)
+        with pytest.raises(AttributeError):
+            row.e = 4
+        with pytest.raises(AttributeError):
+            bound_table(2)[0].lcm_e = 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.one_of(
+            st.sampled_from([5e-324, 1e-300, 1e308]),
+            st.integers(-1000, 1000).map(lambda k: 2.0**k),
+        ),
+    )
+    def test_csv_matches_per_row_reference(self, e_max, c):
+        assert bounds_to_csv(bound_table(e_max, c)) == _reference_csv(e_max, c)
+
+    def test_certificate_survives_optimized_mode(self, monkeypatch):
+        # the certificate is an explicit raise, not an assert, so python -O
+        # keeps it
+        script = (
+            "from padicdyn import bounds\n"
+            "bounds._LOG2_3_NUM = 0\n"
+            "bounds.lcm_range = lambda n: 3**n + 1\n"
+            "try:\n"
+            "    bounds.bound_table(50)\n"
+            "except AssertionError:\n"
+            "    print(__debug__, 'raised')\n"
+        )
+        src = str(Path(padicdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-O", "-c", script]
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False raised\n"
+        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: 3**n + 1)
+        with pytest.raises(AssertionError, match="Rosser-Schoenfeld"):
+            bound_table(50)
+
     def test_lcm_column_prints_up_to_cap(self):
         # bounds_to_csv writes lcm_e in decimal, which Python refuses beyond
         # 4,300 digits by default
@@ -147,6 +200,67 @@ class TestCrossover:
 
     def test_pottmeyer_reference_value(self):
         assert math.isclose(pottmeyer_bound(5), 4.511020e-4, rel_tol=1e-6)
+
+
+def _exp_or_inf(logv):
+    try:
+        return math.exp(logv)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_csv(e_max, c):
+    """bounds_to_csv(bound_table(e_max, c)) with every log taken afresh on every row."""
+    lines = ["e,lcm_e,pottmeyer,new_bound,nine_exp"]
+    lcm = 1
+    for e in range(1, e_max + 1):
+        lcm = math.lcm(lcm, e)
+        pottmeyer = _exp_or_inf(math.log(c) + 2 * e - (2 * e + 1) * math.log(e))
+        new_bound = _exp_or_inf(math.log(c) - 2 * math.log(lcm))
+        nine_exp = _exp_or_inf(math.log(c) - e * math.log(9))
+        lines.append(f"{e},{lcm},{pottmeyer!r},{new_bound!r},{nine_exp!r}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division_flags():
+    """Prime flags for 0..LCM_N_MAX by trial division: n >= 2 is prime when
+    it shares no factor with the product of the primes p with p * p <= n."""
+    flags, product = bytearray(LCM_N_MAX + 1), 1
+    for n in range(2, LCM_N_MAX + 1):
+        root = math.isqrt(n)
+        if root * root == n and flags[root]:
+            product *= root
+        flags[n] = math.gcd(n, product) == 1
+    return flags
+
+
+def _trial_division_sieve(n_max):
+    """What bounds._sieve(n_max) should return: prime flags and {p**k: p} for k >= 2."""
+    flags = _trial_division_flags()[: n_max + 1]
+    roots = itertools.compress(range(math.isqrt(n_max) + 1), flags)
+    higher = {p**k: p for p in roots for k in range(2, n_max.bit_length()) if p**k <= n_max}
+    return flags, higher
+
+
+class TestSieve:
+    def test_every_small_range_against_trial_division(self):
+        for n_max in range(1, 2001):
+            assert bounds._sieve(n_max) == _trial_division_sieve(n_max), n_max
+
+    @pytest.mark.parametrize("n_max", [209, 210, 211, 420, 999_983, 10**6])
+    def test_against_trial_division(self, n_max):
+        assert bounds._sieve(n_max) == _trial_division_sieve(n_max)
+
+    @pytest.mark.parametrize(
+        "n_max, lo", [(1, 2), (2, 2), (10, 2), (211, 11), (2000, 1000), (10**4, 9000), (10**6, 999_000)]
+    )
+    def test_prime_powers_against_trial_division(self, n_max, lo):
+        flags, higher = _trial_division_sieve(n_max)
+        primes = [(n, n) for n in range(lo, n_max + 1) if flags[n]]
+        expected = sorted(primes + [(q, p) for q, p in higher.items() if q >= lo])
+        assert bounds._prime_powers(n_max, lo) == expected
+        assert bounds._prime_powers(n_max, lo, bounds._sieve(n_max + 210)) == expected
 
 
 def _exact_lcm_walk(n_max):
