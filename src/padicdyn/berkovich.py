@@ -31,10 +31,10 @@ from .valuation import (
     RationalLike,
     Valuation,
     _int_valuation,
-    _json_int,
     _json_rational,
     as_fraction,
     as_place,
+    checked_int,
     is_finite,
     reduce_mod_prime_power,
     val,
@@ -102,7 +102,8 @@ def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
 
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
     rho = INF if data["rho"] == "inf" else _json_rational(data["rho"])
-    return DiscPoint(_json_rational(data["center"]), rho, _json_int(data["p"], "p"))
+    p = checked_int(data["p"], "p must be an integer")
+    return DiscPoint(_json_rational(data["center"]), rho, p)
 
 
 def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
@@ -296,18 +297,11 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
 # capped.  The cap clears the largest step count canonical_height can ask for
 # (about 1,100: a float tail bound over the EPS_FLOOR budget, at degree 2).
 MEMBERSHIP_MAX_ITER = 2048
+_MAX_ITER_RULE = f"max_iter must be an integer in 1..MEMBERSHIP_MAX_ITER = {MEMBERSHIP_MAX_ITER}"
 # The window also grows by 2*ceil(|rho|) for a disc, so |rho| is capped too.
 # At the cap and MEMBERSHIP_MAX_ITER steps, X^2 + X at p = 3 about 1 takes
 # about 0.4 s on a 2-vCPU Xeon.
 MEMBERSHIP_RHO_MAX = 1024
-
-
-def _check_max_iter(max_iter: int) -> None:
-    if type(max_iter) is not int or not 1 <= max_iter <= MEMBERSHIP_MAX_ITER:
-        raise PreconditionError(
-            f"max_iter must be an integer in 1..MEMBERSHIP_MAX_ITER = "
-            f"{MEMBERSHIP_MAX_ITER}, got {max_iter!r}"
-        )
 
 
 class _OrbitPlan:
@@ -361,7 +355,7 @@ def filled_julia_membership(
     certification is disabled for the remaining steps but escape detection
     stays sound.
     """
-    _check_max_iter(max_iter)
+    checked_int(max_iter, _MAX_ITER_RULE, 1, MEMBERSHIP_MAX_ITER)
     type_i = zeta.is_type_i
     if not type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
         raise PreconditionError(

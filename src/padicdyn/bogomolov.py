@@ -27,16 +27,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .newton import NewtonPolygon, newton_polygon, polygon_from_json_dict
+from .newton import _VERTEX_RULE, NewtonPolygon, newton_polygon, polygon_from_json_dict
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
     Place,
     PreconditionError,
     Valuation,
-    _json_int,
     _json_rational,
     as_fraction,
     as_place,
+    checked_int,
     in_value_group,
     is_finite,
     val,
@@ -95,7 +95,8 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
     """Inverse of BogomolovCertificate.to_json_dict (exact round-trip).
     Refuses data whose verdict or witness is not what the slope test gives
     on its own polygon and place."""
-    place = Place(_json_int(data["p"], "p"), _json_int(data["e"], "e"))
+    p = checked_int(data["p"], "p must be an integer")
+    place = Place(p, checked_int(data["e"], "e must be an integer"))
     polygon = polygon_from_json_dict(data["polygon"])
     abstract = bool(data.get("abstract", False))
     witness = data.get("witness")
@@ -111,8 +112,8 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
             polygon,
             witness_slope=_json_rational(witness["slope"]),
             witness_segment=(
-                (_json_int(seg[0][0], "vertex index"), _json_rational(seg[0][1])),
-                (_json_int(seg[1][0], "vertex index"), _json_rational(seg[1][1])),
+                (checked_int(seg[0][0], _VERTEX_RULE, 0), _json_rational(seg[0][1])),
+                (checked_int(seg[1][0], _VERTEX_RULE, 0), _json_rational(seg[1][1])),
             ),
             julia_point_valuation=_json_rational(witness["zeta_of_X_valuation"]),
             abstract_coefficients=abstract,
@@ -182,8 +183,7 @@ def check_criterion_abstract(
     entry doubles as val(a_d) in the bounded-region threshold.
     """
     pl = as_place(place)
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError("criterion requires degree >= 2")
+    checked_int(d, "criterion requires an integer degree d >= 2", 2)
     if isinstance(valuations, Mapping):
         valuations = valuations.items()
     pts = list(valuations)

@@ -35,7 +35,7 @@ import math
 import operator
 from typing import Callable, NamedTuple, Sequence
 
-from .valuation import PreconditionError
+from .valuation import PreconditionError, checked_int, checked_real
 
 # Rows hold every exact lcm(1..e), about 1.44*e bits each, so a table's
 # memory grows like e**2 (e = 20,000 already takes about 40 MB).  Up to the
@@ -46,6 +46,12 @@ BOUND_TABLE_E_MAX = 9000
 # The prime-power sieve takes n + 1 bytes and lcm(1..n) has about 1.44*n
 # bits, so lcm_range and verify_lcm_exponential_bound refuse a larger n.
 LCM_N_MAX = 10**6
+_LCM_N_RULE = f"n must be an integer in 1..LCM_N_MAX = {LCM_N_MAX}"
+_E_MAX_RULE = f"e_max must be an integer in 1..BOUND_TABLE_E_MAX = {BOUND_TABLE_E_MAX}"
+# log_pottmeyer turns 2e + 1 and C into floats, so e stays where 2e + 1 is
+# finite and C where math.log(C) is defined; C = inf makes every column inf.
+_E_RULE = "ramification index must be a positive integer at most 2**1022"
+_C_RULE, _C_MIN = "constant C must be positive, at least 5e-324", math.ulp(0.0)
 
 # log2(3) > 19/12, proved exactly by 2**19 = 524288 < 531441 = 3**12.
 _LOG2_3_NUM, _LOG2_3_DEN = 19, 12
@@ -59,17 +65,14 @@ def lcm_list(values: Sequence[int]) -> tuple[int, int]:
     vals = list(values)
     if not vals:
         raise PreconditionError("lcm of an empty list")
-    if any(type(v) is not int or v < 1 for v in vals):
-        raise PreconditionError("lcm requires positive integers")
+    for v in vals:
+        checked_int(v, "lcm requires positive integers", 1)
     return _balanced(math.lcm, vals), max(vals)
 
 
 def lcm_range(n: int) -> int:
     """lcm(1..n) exactly: one factor p at each prime power p**k <= n."""
-    if not isinstance(n, int) or not 1 <= n <= LCM_N_MAX:
-        raise PreconditionError(
-            f"lcm range requires an integer 1 <= n <= LCM_N_MAX = {LCM_N_MAX}, got {n!r}"
-        )
+    checked_int(n, _LCM_N_RULE, 1, LCM_N_MAX)
     return _balanced(operator.mul, [p for _, p in _prime_powers(n)])
 
 
@@ -85,8 +88,8 @@ def _balanced(op: Callable[[int, int], int], vals: list[int]) -> int:
 
 def log_pottmeyer(e: int, c: float = 1.0) -> float:
     """log of C * exp(2e) / e**(2e+1), i.e. log(C) + 2e - (2e+1)*log(e)."""
-    if e < 1:
-        raise PreconditionError("ramification index must be >= 1")
+    checked_int(e, _E_RULE, 1, 2**1022)
+    checked_real(c, _C_RULE, _C_MIN, math.inf)
     return math.log(c) + 2 * e - (2 * e + 1) * math.log(e)
 
 
@@ -120,15 +123,8 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
     e_max is capped at ``BOUND_TABLE_E_MAX``, which bounds the memory of the
     exact lcm column and keeps every entry printable in decimal.
     """
-    if not isinstance(e_max, int) or e_max < 1:
-        raise PreconditionError("e_max must be a positive integer")
-    if e_max > BOUND_TABLE_E_MAX:
-        raise PreconditionError(
-            f"e_max {e_max} exceeds BOUND_TABLE_E_MAX = {BOUND_TABLE_E_MAX}: "
-            "the exact lcm column grows quadratically and must print as decimal"
-        )
-    if not (c > 0):
-        raise PreconditionError("constant C must be positive")
+    checked_int(e_max, _E_MAX_RULE, 1, BOUND_TABLE_E_MAX)
+    checked_real(c, _C_RULE, _C_MIN, math.inf)
     sieve = _sieve(e_max)
     if not _lcm_bound_holds(e_max, sieve):
         raise AssertionError("lcm(1..e) > 3**e would contradict Rosser-Schoenfeld")
@@ -151,6 +147,8 @@ def find_crossover(e_max: int, c: float = 1.0) -> int | None:
     Compared in log space (the constant C cancels), so the answer is
     C-independent and immune to underflow.
     """
+    checked_int(e_max, "e_max must be a positive integer", 1)
+    checked_real(c, _C_RULE, _C_MIN, math.inf)
     lcm_val = 1
     for e in range(1, e_max + 1):
         lcm_val = math.lcm(lcm_val, e)
@@ -243,10 +241,7 @@ def verify_lcm_exponential_bound(n_max: int) -> bool:
     event at a time, and where neither decides, by the exact big-integer
     comparison.
     """
-    if not isinstance(n_max, int) or not 1 <= n_max <= LCM_N_MAX:
-        raise PreconditionError(
-            f"n_max must be an integer in 1..LCM_N_MAX = {LCM_N_MAX}, got {n_max!r}"
-        )
+    checked_int(n_max, _LCM_N_RULE, 1, LCM_N_MAX)
     return _lcm_bound_holds(n_max)
 
 

@@ -50,9 +50,10 @@ from .berkovich import (
     BoundedCertified,
     DiscPoint,
     Escaped,
-    _check_max_iter,
+    MEMBERSHIP_MAX_ITER,
     _height_growth_bound,
     _LocalInvariants,
+    _MAX_ITER_RULE,
     _past_growth_bound,
     escape_threshold,
     filled_julia_membership,
@@ -67,9 +68,19 @@ from .valuation import (
     RationalLike,
     as_fraction,
     as_place,
+    checked_int,
+    checked_real,
 )
 
 EPS_FLOOR = 1e-12
+_EPS_RULE = (
+    f"eps must be finite and at least the double-precision floor EPS_FLOOR = {EPS_FLOOR:g}; "
+    "below it, interval arithmetic with higher-precision logarithms is required"
+)
+_BUDGET_RULE = (
+    f"error_budget must be finite and at least EPS_FLOOR / 4 = {EPS_FLOOR / 4:g}; "
+    "below it, interval arithmetic with higher-precision logarithms is required"
+)
 _PREPERIODIC_ITERATION_GUARD = 10_000
 
 
@@ -130,7 +141,7 @@ def local_escape_rate(
     d = map_degree(phi)
     zeta = DiscPoint(x, INF, p)  # checks the place
     p = zeta.p
-    _check_max_iter(max_iter)
+    checked_int(max_iter, _MAX_ITER_RULE, 1, MEMBERSHIP_MAX_ITER)
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
@@ -236,12 +247,7 @@ def archimedean_escape_rate(
     attempt cannot certify, the call is refused.
     """
     d = map_degree(phi)
-    if not EPS_FLOOR / 4 <= error_budget < math.inf:
-        raise PreconditionError(
-            f"tolerance {error_budget:g} must be finite and at least the "
-            "double-precision floor; below it, interval arithmetic with "
-            "higher-precision logarithms is required"
-        )
+    checked_real(error_budget, _BUDGET_RULE, EPS_FLOOR / 4)
     xf = as_fraction(x)
     # A map or point beyond double range makes a float conversion or power
     # below raise OverflowError.
@@ -426,17 +432,6 @@ def _denominator_primes(phi: RationalPoly) -> frozenset[int]:
     return frozenset().union(*map(factorize, (c.denominator for c in phi.coefficients)))
 
 
-def _check_eps(eps: float) -> None:
-    """Refuse a height tolerance unless it is finite and at least EPS_FLOOR."""
-    if not 0 < eps < math.inf:
-        raise PreconditionError("eps must be positive and finite")
-    if eps < EPS_FLOOR:
-        raise PreconditionError(
-            f"tolerance {eps:g} is below the double-precision floor ({EPS_FLOOR:g}); "
-            "interval arithmetic mode with higher-precision logarithms is required"
-        )
-
-
 def canonical_height(
     phi: RationalPoly, x: RationalLike, eps: float = 1e-8
 ) -> HeightResult:
@@ -449,7 +444,7 @@ def canonical_height(
     exceeds eps.
     """
     d = map_degree(phi)
-    _check_eps(eps)
+    checked_real(eps, _EPS_RULE, EPS_FLOOR)
     xf = as_fraction(x)
     active = _active_primes(phi, xf)
     if is_preperiodic(phi, xf):
@@ -512,6 +507,7 @@ class SurveyReport:
 
 # Largest max(|m|, n) that survey enumerates: about 1.2 million points.
 SURVEY_N_MAX = 10**3
+_MAX_HEIGHT_RULE = f"max_height must be finite and in 0..log(SURVEY_N_MAX = {SURVEY_N_MAX})"
 
 
 def survey(
@@ -529,14 +525,8 @@ def survey(
     """
     map_degree(phi)
     p = as_place(p).p
-    if not 0 <= max_height < math.inf:
-        raise PreconditionError("max_height must be nonnegative and finite")
-    if max_height > math.log(SURVEY_N_MAX):
-        raise PreconditionError(
-            f"max_height {max_height:g} exceeds log({SURVEY_N_MAX}): survey enumerates "
-            f"numerators and denominators up to the cap SURVEY_N_MAX = {SURVEY_N_MAX}"
-        )
-    _check_eps(eps)
+    checked_real(max_height, _MAX_HEIGHT_RULE, 0, math.log(SURVEY_N_MAX))
+    checked_real(eps, _EPS_RULE, EPS_FLOOR)
     n_max = math.floor(math.exp(max_height) + 1e-9)
     records: list[SurveyRecord] = []
     preperiodic_points: list[Fraction] = []

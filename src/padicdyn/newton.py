@@ -22,11 +22,13 @@ from .valuation import (
     INF,
     PreconditionError,
     Valuation,
-    _json_int,
     _json_rational,
     as_fraction,
+    checked_int,
     is_finite,
 )
+
+_VERTEX_RULE = "vertex index must be a nonnegative integer"
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,14 @@ class NewtonPolygon:
 
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:
     """Inverse of NewtonPolygon.to_json_dict (exact round-trip).  Refuses
-    data that is not the polygon newton_polygon builds from its vertices."""
-    vertices = tuple(
-        (_json_int(i, "vertex index"), _json_rational(v)) for i, v in data["vertices"]
-    )
+    data that is not the polygon newton_polygon builds from its vertices,
+    which also checks their indices."""
+    vertices = tuple((i, _json_rational(v)) for i, v in data["vertices"])
     segments = tuple(
-        Segment(_json_rational(s["slope"]), _json_int(s["length"], "segment length"))
+        Segment(
+            _json_rational(s["slope"]),
+            checked_int(s["length"], "segment length must be an integer"),
+        )
         for s in data["segments"]
     )
     polygon = NewtonPolygon(vertices, segments)
@@ -87,8 +91,7 @@ def newton_polygon(points: Iterable[tuple[int, Valuation]]) -> NewtonPolygon:
     finite: list[tuple[int, Fraction]] = []
     seen: set[int] = set()
     for i, v in points:
-        if not isinstance(i, int) or i < 0:
-            raise PreconditionError(f"index must be a nonnegative integer, got {i!r}")
+        checked_int(i, _VERTEX_RULE, 0)
         if i in seen:
             raise PreconditionError(f"duplicate index {i}")
         seen.add(i)

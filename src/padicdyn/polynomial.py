@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .newton import newton_polygon
 from .primes import factorize
-from .valuation import PreconditionError, RationalLike, as_fraction, val
+from .valuation import PreconditionError, RationalLike, as_fraction, checked_int, val
 
 
 class RationalPoly:
@@ -55,9 +55,7 @@ class RationalPoly:
     @classmethod
     def monomial(cls, k: int, c: RationalLike = 1) -> "RationalPoly":
         """c * X**k."""
-        if k < 0:
-            raise PreconditionError("monomial exponent must be nonnegative")
-        return cls([0] * k + [c])
+        return cls([0] * checked_int(k, "monomial exponent must be a nonnegative integer", 0) + [c])
 
     # -- structure ------------------------------------------------------
     @property
@@ -214,12 +212,7 @@ class RationalPoly:
         leading coefficient of the iterate is lc**((d**m - 1)/(d - 1)), which
         is asserted.
         """
-        if not 0 <= m <= MAP_DEGREE_MAX:
-            raise PreconditionError(
-                f"iteration count must be in 0..MAP_DEGREE_MAX = {MAP_DEGREE_MAX}, got {m!r}"
-            )
-        if self.is_zero:
-            raise PreconditionError("cannot iterate the zero polynomial")
+        checked_int(m, _ITERATE_RULE, 0, MAP_DEGREE_MAX)
         d = self.degree
         result = RationalPoly.identity()
         for _ in range(m):
@@ -266,6 +259,7 @@ class RationalPoly:
 # Every dynamics entry point refuses maps above this degree, and the CLI
 # grammar refuses any larger exponent, so no argument builds such a map.
 MAP_DEGREE_MAX = 256
+_ITERATE_RULE = f"iteration count must be an integer in 0..MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
 
 
 def map_degree(phi: RationalPoly) -> int:

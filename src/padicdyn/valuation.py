@@ -11,12 +11,18 @@ this package happen on the valuation side, where arithmetic is exact.
 A ``Place`` bundles a residue prime ``p`` with a ramification index ``e``;
 the value group of the induced valuation on a ramified extension is
 ``(1/e)·Z``, membership in which is ``in_value_group``.
+
+``as_place`` is the package's one place check, and ``checked_int`` and
+``checked_real`` its one integer and one real-number argument check: each
+refuses with a PreconditionError that names the rule and the value given.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -138,10 +144,23 @@ def _json_rational(x: object) -> Fraction:
     raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
 
 
-def _json_int(x: object, what: str) -> int:
-    """An integer field of a JSON reader: an exact int, else PreconditionError."""
-    if type(x) is not int:
-        raise PreconditionError(f"{what} must be an integer, got {x!r}")
+def checked_int(x: object, rule: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``x`` if it is an int, not a bool, with lo <= x <= hi; else
+    PreconditionError(f"{rule}, got {x!r}").  The one integer check of the
+    package: counts, degrees, indices and JSON integer fields."""
+    if type(x) is not int or not lo <= x <= hi:
+        raise PreconditionError(f"{rule}, got {x!r}")
+    return x
+
+
+def checked_real(
+    x: object, rule: str, lo: float = -math.inf, hi: float = sys.float_info.max
+) -> float:
+    """Like ``checked_int`` for an int, float or Fraction: the one real-number
+    check of the package (tolerances, windows, constants).  The default upper
+    bound keeps out inf, and any bound keeps out nan."""
+    if not isinstance(x, (int, float, Fraction)) or type(x) is bool or not lo <= x <= hi:
+        raise PreconditionError(f"{rule}, got {x!r}")
     return x
 
 
@@ -182,15 +201,16 @@ def val(x: RationalLike, p: Place | int) -> Valuation:
     return Fraction(_int_valuation(q.numerator, p) - _int_valuation(q.denominator, p))
 
 
+_E_RULE = "ramification index must be a positive integer"
+
+
 def in_value_group(sigma: RationalLike, e: int) -> bool:
     """Whether the rational ``sigma`` lies in (1/e)·Z.
 
     This is the value-group membership test for a place of ramification
     index ``e``: sigma is in the group iff e*sigma is an integer.
     """
-    if type(e) is not int or e < 1:
-        raise PreconditionError(f"ramification index must be a positive integer, got {e!r}")
-    return (as_fraction(sigma) * e).denominator == 1
+    return (as_fraction(sigma) * checked_int(e, _E_RULE, 1)).denominator == 1
 
 
 @dataclass(frozen=True)
@@ -207,24 +227,25 @@ class Place:
     def __post_init__(self) -> None:
         if type(self.p) is not int or self.p < 2 or not is_prime(self.p):
             raise PreconditionError(f"place requires a prime, got {self.p!r}")
-        if type(self.e) is not int or self.e < 1:
-            raise PreconditionError(
-                f"ramification index must be a positive integer, got {self.e!r}"
-            )
+        checked_int(self.e, _E_RULE, 1)
 
 
 _int_place = functools.lru_cache(maxsize=64)(Place)
 
 
-def reduce_mod_prime_power(x: Fraction, p: int, k: int) -> Fraction:
+def reduce_mod_prime_power(x: Fraction, p: Place | int, k: int) -> Fraction:
     """A small rational congruent to ``x`` modulo p**k.
 
-    Returns x' with val(x - x', p) >= k and with numerator/denominator of
-    size O(p**k): writing x = p**v * m/n with p dividing neither m nor n,
-    the result is p**v * (m * n^{-1} mod p**(k-v)), or 0 when v >= k.
-    Used to keep orbit elements small while preserving every valuation
-    that is less than k.
+    ``p`` is a prime or a ``Place`` and ``k`` an integer.  Returns x' with
+    val(x - x', p) >= k and with numerator/denominator of size O(p**k):
+    writing x = p**v * m/n with p dividing neither m nor n, the result is
+    p**v * (m * n^{-1} mod p**(k-v)), or 0 when v >= k.  Used to keep orbit
+    elements small while preserving every valuation that is less than k.
     """
+    p = as_place(p).p
+    # Inline, not checked_int: membership calls this ~100 times per orbit.
+    if type(k) is not int:
+        raise PreconditionError(f"precision exponent k must be an integer, got {k!r}")
     if x == 0:
         return x
     v = _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)

@@ -62,7 +62,12 @@ class TestLcmHelpers:
         start = time.perf_counter()
         lcm = lcm_range(LCM_N_MAX)
         assert time.perf_counter() - start < 1
-        assert lcm == math.prod(p for _, p in bounds._prime_powers(LCM_N_MAX))
+        # The oracle multiplies chunks of 8 factors, then chunks of 8 of
+        # those products, and so on: neither a left fold nor the pairwise tree.
+        factors = [p for _, p in bounds._prime_powers(LCM_N_MAX)]
+        while len(factors) > 1:
+            factors = [math.prod(factors[i : i + 8]) for i in range(0, len(factors), 8)]
+        assert lcm == factors[0]
 
     def test_refuses_n_above_cap(self):
         for take in (lcm_range, verify_lcm_exponential_bound):
@@ -123,6 +128,8 @@ class TestBoundTable:
         for a, b in zip(plain, scaled):
             assert math.isclose(b.pottmeyer, 10 * a.pottmeyer, rel_tol=1e-12)
             assert math.isclose(b.new_bound, 10 * a.new_bound, rel_tol=1e-12)
+        # C = inf is a constant too: every float column is then inf
+        assert {r.new_bound for r in bound_table(6, c=math.inf)} == {math.inf}
 
     def test_rejects_empty_table(self):
         with pytest.raises(PreconditionError):
@@ -194,6 +201,7 @@ class TestCrossover:
     def test_crossover_is_constant_independent(self):
         assert find_crossover(40, c=1e-6) == 6
         assert find_crossover(40, c=1e6) == 6
+        assert find_crossover(40, c=math.inf) == 6
 
     def test_none_when_out_of_range(self):
         assert find_crossover(4) is None

@@ -1,8 +1,12 @@
 """Valuation arithmetic: exact values, the infinity element, and the place gate."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -10,27 +14,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicdyn
-from padicdyn import errors, primes, valuation
+from padicdyn import bounds, errors, primes, valuation
 from padicdyn import (
     INF,
     DiscPoint,
     Place,
     PreconditionError,
     RationalPoly,
+    archimedean_escape_rate,
     as_fraction,
+    bound_table,
+    canonical_height,
     check_criterion,
     check_criterion_abstract,
+    disc_point_from_json_dict,
     escape_threshold,
     factorize,
+    filled_julia_membership,
+    find_crossover,
     good_reduction,
     in_value_group,
     is_finite,
     is_prime,
+    lcm_list,
+    lcm_range,
     local_escape_rate,
     max_point,
+    newton_polygon,
+    pottmeyer_bound,
     reduce_mod_prime_power,
     survey,
     val,
+    verify_lcm_exponential_bound,
 )
 
 
@@ -196,6 +211,31 @@ def test_strong_pseudoprime_to_twelve_bases_is_no_place():
 
 
 _PHI = RationalPoly([F(1, 3), 0, 1])  # X^2 + 1/3
+
+
+def _reduce_mod_prime_power(pl):
+    """reduce_mod_prime_power(1/3, pl, 2).  At p = 1 (or True, equal to it)
+    an unchecked valuation loop never ends, so that call runs in a fresh
+    interpreter under a timeout, and its PreconditionError is raised here."""
+    if not (isinstance(pl, int) and pl == 1):
+        return reduce_mod_prime_power(F(1, 3), pl, 2)
+    script = (
+        "from fractions import Fraction\n"
+        "from padicdyn import PreconditionError, reduce_mod_prime_power\n"
+        "try:\n"
+        f"    reduce_mod_prime_power(Fraction(1, 3), {pl!r}, 2)\n"
+        "except PreconditionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout:
+        raise PreconditionError(done.stdout.strip())
+
+
 _PLACE_TAKERS = {
     "DiscPoint": lambda pl: DiscPoint(F(1, 3), 1, pl),
     "escape_threshold": lambda pl: escape_threshold(_PHI, pl),
@@ -206,6 +246,7 @@ _PLACE_TAKERS = {
         [(0, F(-1)), (2, F(0))], 2, pl
     ),
     "local_escape_rate": lambda pl: local_escape_rate(_PHI, F(2, 3), pl),
+    "reduce_mod_prime_power": _reduce_mod_prime_power,
     "survey": lambda pl: survey(_PHI, pl, 0.0),
     "val": lambda pl: val(F(2, 3), pl),
 }
@@ -219,6 +260,75 @@ def test_every_place_argument_is_checked_alike(name):
         with pytest.raises(PreconditionError, match="place requires a prime"):
             take(bad)
     assert take(3) == take(Place(3))
+
+
+# Every public function that takes a count, each at its count argument.
+_COUNT_TAKERS = {
+    "Place.e": lambda n: Place(3, n),
+    "RationalPoly.iterate": lambda n: _PHI.iterate(n),
+    "RationalPoly.monomial": lambda n: RationalPoly.monomial(n),
+    "bound_table": lambda n: bound_table(n),
+    "check_criterion_abstract": lambda n: check_criterion_abstract(
+        [(0, F(-1)), (2, F(0))], n, 3
+    ),
+    "disc_point_from_json_dict": lambda n: disc_point_from_json_dict(
+        {"center": "1/3", "rho": "0", "p": n}
+    ),
+    "filled_julia_membership": lambda n: filled_julia_membership(
+        _PHI, DiscPoint(F(1, 3), INF, 3), n
+    ),
+    "find_crossover": lambda n: find_crossover(n),
+    "in_value_group": lambda n: in_value_group(F(1, 2), n),
+    "lcm_list": lambda n: lcm_list([3, n]),
+    "lcm_range": lambda n: lcm_range(n),
+    "local_escape_rate": lambda n: local_escape_rate(_PHI, F(2, 3), 3, n),
+    "log_pottmeyer": lambda n: bounds.log_pottmeyer(n),
+    "newton_polygon": lambda n: newton_polygon([(n, F(0)), (5, F(1))]),
+    "pottmeyer_bound": lambda n: pottmeyer_bound(n),
+    "reduce_mod_prime_power": lambda n: reduce_mod_prime_power(F(1, 3), 3, n),
+    "verify_lcm_exponential_bound": lambda n: verify_lcm_exponential_bound(n),
+}
+
+# Every public function that takes a real tolerance, window or constant.
+_CONSTANT_TAKERS = {
+    "archimedean_escape_rate": lambda x: archimedean_escape_rate(_PHI, F(2, 3), x),
+    "bound_table": lambda x: bound_table(3, x),
+    "canonical_height": lambda x: canonical_height(_PHI, F(2, 3), x),
+    "find_crossover": lambda x: find_crossover(3, x),
+    "log_pottmeyer": lambda x: bounds.log_pottmeyer(3, x),
+    "pottmeyer_bound": lambda x: pottmeyer_bound(3, x),
+    "survey.eps": lambda x: survey(_PHI, 3, 0.0, x),
+    "survey.max_height": lambda x: survey(_PHI, 3, x),
+}
+
+
+def _leaks(takers, good, bads):
+    """The calls among takers that fail on a good value, or that answer or
+    raise anything but PreconditionError("..., got {bad!r}") on a bad one."""
+    leaks = []
+    for name, take in takers.items():
+        for x in good:
+            take(x)
+        for bad in bads:
+            try:
+                take(bad)
+            except PreconditionError as exc:
+                if not str(exc).endswith(f"got {bad!r}"):
+                    leaks.append(f"{name}({bad!r}): {exc}")
+            except Exception as exc:
+                leaks.append(f"{name}({bad!r}) raised {exc!r}")
+            else:
+                leaks.append(f"{name}({bad!r}) answered")
+    return leaks
+
+
+def test_every_count_argument_is_checked_alike():
+    assert _leaks(_COUNT_TAKERS, [2], [True, 2.0, "2", None, F(3)]) == []
+
+
+def test_every_constant_argument_is_checked_alike():
+    bads = [True, "2", None, math.nan, -1.0]
+    assert _leaks(_CONSTANT_TAKERS, [0.5, F(1, 2), 1], bads) == []
 
 
 class TestReduceModPrimePower:
