@@ -24,17 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from .errors import PreconditionError, checked_int
 from .polynomial import RationalPoly, _integer_form, map_degree, map_invariant
 from .valuation import (
     INF,
-    PreconditionError,
     RationalLike,
     Valuation,
     _int_valuation,
     _json_rational,
     as_fraction,
     as_place,
-    checked_int,
     is_finite,
     reduce_mod_prime_power,
     val,
@@ -64,17 +63,21 @@ class DiscPoint:
     def is_type_i(self) -> bool:
         return not is_finite(self.rho)
 
-    def canonical_key(self) -> tuple:
-        """A hashable key equal for exactly the equal disc points."""
-        return (self.p, *_disc_key(self.center, self.rho, self.p))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscPoint):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return (
+            self.p == other.p
+            and self.rho == other.rho
+            and val(self.center - other.center, self.p) >= self.rho
+        )
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        # Equal discs agree mod p**ceil(rho), so also mod p**64, which is cheap.
+        c = self.center
+        if not self.is_type_i:
+            c = reduce_mod_prime_power(c, self.p, min(math.ceil(self.rho), 64))
+        return hash((self.p, self.rho, c))
 
     def __repr__(self) -> str:
         rho = "INF" if self.is_type_i else str(self.rho)

@@ -27,16 +27,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import PreconditionError, checked_int
 from .newton import _VERTEX_RULE, NewtonPolygon, newton_polygon, polygon_from_json_dict
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
     Place,
-    PreconditionError,
     Valuation,
     _json_rational,
     as_fraction,
     as_place,
-    checked_int,
     in_value_group,
     is_finite,
     val,

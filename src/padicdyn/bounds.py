@@ -33,9 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .valuation import PreconditionError, checked_int, checked_real
+from .errors import PreconditionError, checked_int, checked_real
 
 # Rows hold every exact lcm(1..e), about 1.44*e bits each, so a table's
 # memory grows like e**2 (e = 20,000 already takes about 40 MB).  Up to the
@@ -48,8 +49,8 @@ BOUND_TABLE_E_MAX = 9000
 LCM_N_MAX = 10**6
 _LCM_N_RULE = f"n must be an integer in 1..LCM_N_MAX = {LCM_N_MAX}"
 _E_MAX_RULE = f"e_max must be an integer in 1..BOUND_TABLE_E_MAX = {BOUND_TABLE_E_MAX}"
-# log_pottmeyer turns 2e + 1 and C into floats, so e stays where 2e + 1 is
-# finite and C where math.log(C) is defined; C = inf makes every column inf.
+# log_pottmeyer turns 2e + 1 and log C into floats, so e stays where 2e + 1 is
+# finite and C where log C is defined; C = inf makes every column inf.
 _E_RULE = "ramification index must be a positive integer at most 2**1022"
 _C_RULE, _C_MIN = "constant C must be positive, at least 5e-324", math.ulp(0.0)
 
@@ -89,8 +90,20 @@ def _balanced(op: Callable[[int, int], int], vals: list[int]) -> int:
 def log_pottmeyer(e: int, c: float = 1.0) -> float:
     """log of C * exp(2e) / e**(2e+1), i.e. log(C) + 2e - (2e+1)*log(e)."""
     checked_int(e, _E_RULE, 1, 2**1022)
+    return _log_pottmeyer(_log_c(c), e)
+
+
+def _log_pottmeyer(log_c: float, e: int) -> float:
+    return log_c + 2 * e - (2 * e + 1) * math.log(e)
+
+
+def _log_c(c: float) -> float:
+    """log C of a checked constant; a Fraction's is log(num) - log(den), so one
+    above float range answers like an int C of that size."""
     checked_real(c, _C_RULE, _C_MIN, math.inf)
-    return math.log(c) + 2 * e - (2 * e + 1) * math.log(e)
+    if isinstance(c, Fraction):
+        return math.log(c.numerator) - math.log(c.denominator)
+    return math.log(c)
 
 
 def pottmeyer_bound(e: int, c: float = 1.0) -> float:
@@ -124,19 +137,19 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
     exact lcm column and keeps every entry printable in decimal.
     """
     checked_int(e_max, _E_MAX_RULE, 1, BOUND_TABLE_E_MAX)
-    checked_real(c, _C_RULE, _C_MIN, math.inf)
+    log_c = _log_c(c)
     sieve = _sieve(e_max)
     if not _lcm_bound_holds(e_max, sieve):
         raise AssertionError("lcm(1..e) > 3**e would contradict Rosser-Schoenfeld")
     factor_at = dict(_prime_powers(e_max, 2, sieve))
-    log_c, log_9 = math.log(c), math.log(9)
+    log_9 = math.log(9)
     rows: list[BoundRow] = []
     lcm_val, new_bound = 1, _exp_or_inf(log_c)
     for e in range(1, e_max + 1):
         if e in factor_at:
             lcm_val *= factor_at[e]
             new_bound = _exp_or_inf(log_c - 2 * math.log(lcm_val))
-        pottmeyer = _exp_or_inf(log_c + 2 * e - (2 * e + 1) * math.log(e))
+        pottmeyer = _exp_or_inf(_log_pottmeyer(log_c, e))
         rows.append(BoundRow(e, lcm_val, pottmeyer, new_bound, _exp_or_inf(log_c - e * log_9)))
     return rows
 
@@ -152,7 +165,7 @@ def find_crossover(e_max: int, c: float = 1.0) -> int | None:
     lcm_val = 1
     for e in range(1, e_max + 1):
         lcm_val = math.lcm(lcm_val, e)
-        if -2 * math.log(lcm_val) > log_pottmeyer(e, 1.0):
+        if -2 * math.log(lcm_val) > _log_pottmeyer(0.0, e):
             return e
     return None
 

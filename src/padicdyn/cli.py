@@ -34,10 +34,11 @@ from .berkovich import (
 )
 from .bogomolov import check_criterion
 from .bounds import bound_table, bounds_to_csv, find_crossover
+from .errors import PreconditionError
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
 from .polynomial import MAP_DEGREE_MAX, RationalPoly
-from .valuation import INF, Place, PreconditionError, as_fraction, as_place, is_finite, val
+from .valuation import INF, Place, as_fraction, as_place, is_finite, val
 
 EXIT_OK = 0
 EXIT_USAGE = 2

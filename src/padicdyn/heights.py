@@ -59,18 +59,10 @@ from .berkovich import (
     filled_julia_membership,
     weil_height,
 )
+from .errors import PreconditionError, checked_int, checked_real
 from .polynomial import RationalPoly, map_degree, map_invariant
 from .primes import factorize
-from .valuation import (
-    INF,
-    Place,
-    PreconditionError,
-    RationalLike,
-    as_fraction,
-    as_place,
-    checked_int,
-    checked_real,
-)
+from .valuation import INF, Place, RationalLike, as_fraction, as_place
 
 EPS_FLOOR = 1e-12
 _EPS_RULE = (

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .valuation import (
-    INF,
-    PreconditionError,
-    Valuation,
-    _json_rational,
-    as_fraction,
-    checked_int,
-    is_finite,
-)
+from .errors import PreconditionError, checked_int
+from .valuation import INF, Valuation, _json_rational, as_fraction, is_finite
 
 _VERTEX_RULE = "vertex index must be a nonnegative integer"
 

@@ -20,9 +20,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
+from .errors import PreconditionError, checked_int
 from .newton import newton_polygon
 from .primes import factorize
-from .valuation import PreconditionError, RationalLike, as_fraction, checked_int, val
+from .valuation import RationalLike, as_fraction, val
 
 
 class RationalPoly:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import PreconditionError
+from .errors import PreconditionError, checked_int
 
 # The first 13 primes prove primality for every n below psi_13 =
 # 3_317_044_064_679_887_385_961_981 (Sorenson and Webster, Math. Comp. 86,
@@ -33,7 +33,7 @@ def is_prime(n: int) -> bool:
     set; beyond that, extra random witnesses are added (error probability
     below 4**-64).
     """
-    if n < 2:
+    if checked_int(n, "is_prime expects an integer") < 2:
         return False
     for p in _SMALL_PRIMES:
         if n == p:
@@ -90,8 +90,7 @@ def factorize(n: int) -> dict[int, int]:
     Raises PreconditionError when the factors are out of Pollard rho's reach
     (more than FACTORIZE_RHO_STEPS steps in all).
     """
-    if n < 1:
-        raise PreconditionError(f"factorize expects a positive integer, got {n!r}")
+    checked_int(n, "factorize expects a positive integer", 1)
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:

@@ -10,24 +10,19 @@ this package happen on the valuation side, where arithmetic is exact.
 
 A ``Place`` bundles a residue prime ``p`` with a ramification index ``e``;
 the value group of the induced valuation on a ramified extension is
-``(1/e)·Z``, membership in which is ``in_value_group``.
-
-``as_place`` is the package's one place check, and ``checked_int`` and
-``checked_real`` its one integer and one real-number argument check: each
-refuses with a PreconditionError that names the rule and the value given.
+``(1/e)·Z``, membership in which is ``in_value_group``.  ``as_place`` is
+the package's one place check.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, checked_int
 from .primes import is_prime
 
 
@@ -144,26 +139,6 @@ def _json_rational(x: object) -> Fraction:
     raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
 
 
-def checked_int(x: object, rule: str, lo: float = -math.inf, hi: float = math.inf) -> int:
-    """``x`` if it is an int, not a bool, with lo <= x <= hi; else
-    PreconditionError(f"{rule}, got {x!r}").  The one integer check of the
-    package: counts, degrees, indices and JSON integer fields."""
-    if type(x) is not int or not lo <= x <= hi:
-        raise PreconditionError(f"{rule}, got {x!r}")
-    return x
-
-
-def checked_real(
-    x: object, rule: str, lo: float = -math.inf, hi: float = sys.float_info.max
-) -> float:
-    """Like ``checked_int`` for an int, float or Fraction: the one real-number
-    check of the package (tolerances, windows, constants).  The default upper
-    bound keeps out inf, and any bound keeps out nan."""
-    if not isinstance(x, (int, float, Fraction)) or type(x) is bool or not lo <= x <= hi:
-        raise PreconditionError(f"{rule}, got {x!r}")
-    return x
-
-
 def as_place(place: Place | int) -> Place:
     """Coerce a Place or a bare prime to a Place.
 
@@ -225,7 +200,7 @@ class Place:
     e: int = 1
 
     def __post_init__(self) -> None:
-        if type(self.p) is not int or self.p < 2 or not is_prime(self.p):
+        if not is_prime(checked_int(self.p, "place requires a prime", 2)):
             raise PreconditionError(f"place requires a prime, got {self.p!r}")
         checked_int(self.e, _E_RULE, 1)
 
@@ -243,9 +218,7 @@ def reduce_mod_prime_power(x: Fraction, p: Place | int, k: int) -> Fraction:
     elements small while preserving every valuation that is less than k.
     """
     p = as_place(p).p
-    # Inline, not checked_int: membership calls this ~100 times per orbit.
-    if type(k) is not int:
-        raise PreconditionError(f"precision exponent k must be an integer, got {k!r}")
+    checked_int(k, "precision exponent k must be an integer")
     if x == 0:
         return x
     v = _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)

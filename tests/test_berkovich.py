@@ -2,15 +2,20 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicdyn
 from padicdyn import (
     INF,
     BoundedCertified,
@@ -67,6 +72,19 @@ class TestDiscPoint:
         assert DiscPoint(0, 0, 5) != DiscPoint(F(1, 5), 0, 5)
         assert DiscPoint(0, 0, 5) != DiscPoint(0, 1, 5)
         assert DiscPoint(0, 0, 5) != DiscPoint(0, 0, 7)
+
+    def test_hash_and_lookup_of_a_tiny_disc_are_quick(self):
+        # p**ceil(rho) has 4.8 million digits here: neither == nor hash may build it
+        script = (
+            "from fractions import Fraction\n"
+            "from padicdyn import DiscPoint\n"
+            "zeta = DiscPoint(Fraction(1, 3), 10**7, 3)\n"
+            "hash(zeta)\n"
+            "assert DiscPoint(Fraction(1, 3), 10**7, 3) in {zeta}\n"
+            "assert DiscPoint(Fraction(1, 3) + 3**99, 10**7, 3) not in {zeta}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-c", script], env=env, timeout=5, check=True)
 
     def test_requires_prime(self):
         with pytest.raises(PreconditionError):

@@ -277,8 +277,10 @@ _COUNT_TAKERS = {
     "filled_julia_membership": lambda n: filled_julia_membership(
         _PHI, DiscPoint(F(1, 3), INF, 3), n
     ),
+    "factorize": lambda n: factorize(n),
     "find_crossover": lambda n: find_crossover(n),
     "in_value_group": lambda n: in_value_group(F(1, 2), n),
+    "is_prime": lambda n: is_prime(n),
     "lcm_list": lambda n: lcm_list([3, n]),
     "lcm_range": lambda n: lcm_range(n),
     "local_escape_rate": lambda n: local_escape_rate(_PHI, F(2, 3), 3, n),
@@ -329,6 +331,10 @@ def test_every_count_argument_is_checked_alike():
 def test_every_constant_argument_is_checked_alike():
     bads = [True, "2", None, math.nan, -1.0]
     assert _leaks(_CONSTANT_TAKERS, [0.5, F(1, 2), 1], bads) == []
+    # float(C) overflows here; log C = log(num) - log(den) does not
+    for take in (_CONSTANT_TAKERS["bound_table"], _CONSTANT_TAKERS["pottmeyer_bound"]):
+        assert take(F(10**400, 3)) == take(10**400 // 3)
+    assert all(x == math.inf for row in bound_table(3, F(10**400, 3)) for x in row[2:])
 
 
 class TestReduceModPrimePower:
