@@ -31,9 +31,9 @@ from .valuation import (
     RationalLike,
     Valuation,
     _int_valuation,
-    _json_rational,
     as_fraction,
     as_place,
+    as_valuation,
     is_finite,
     reduce_mod_prime_power,
     val,
@@ -55,8 +55,7 @@ class DiscPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_fraction(self.center))
-        if is_finite(self.rho):
-            object.__setattr__(self, "rho", as_fraction(self.rho))
+        object.__setattr__(self, "rho", as_valuation(self.rho))
         object.__setattr__(self, "p", as_place(self.p).p)
 
     @property
@@ -104,9 +103,8 @@ def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
 
 
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
-    rho = INF if data["rho"] == "inf" else _json_rational(data["rho"])
     p = checked_int(data["p"], "p must be an integer")
-    return DiscPoint(_json_rational(data["center"]), rho, p)
+    return DiscPoint(data["center"], data["rho"], p)
 
 
 def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:

@@ -31,13 +31,13 @@ from .errors import PreconditionError, checked_int
 from .newton import _VERTEX_RULE, NewtonPolygon, newton_polygon, polygon_from_json_dict
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
+    INF,
     Place,
     Valuation,
-    _json_rational,
     as_fraction,
     as_place,
+    as_valuation,
     in_value_group,
-    is_finite,
     val,
 )
 
@@ -109,12 +109,12 @@ def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
             Verdict.STRONG_BOGOMOLOV,
             place,
             polygon,
-            witness_slope=_json_rational(witness["slope"]),
+            witness_slope=as_fraction(witness["slope"]),
             witness_segment=(
-                (checked_int(seg[0][0], _VERTEX_RULE, 0), _json_rational(seg[0][1])),
-                (checked_int(seg[1][0], _VERTEX_RULE, 0), _json_rational(seg[1][1])),
+                (checked_int(seg[0][0], _VERTEX_RULE, 0), as_fraction(seg[0][1])),
+                (checked_int(seg[1][0], _VERTEX_RULE, 0), as_fraction(seg[1][1])),
             ),
-            julia_point_valuation=_json_rational(witness["zeta_of_X_valuation"]),
+            julia_point_valuation=as_fraction(witness["zeta_of_X_valuation"]),
             abstract_coefficients=abstract,
         )
     (start, _), (d, lead) = polygon.vertices[0], polygon.vertices[-1]
@@ -169,7 +169,7 @@ def check_criterion(phi: RationalPoly, place) -> BogomolovCertificate:
     points = [(i, val(psi.coefficient(i), pl)) for i in range(d + 1)]
     polygon = newton_polygon(points)
     lead = val(phi.leading_coefficient, pl)
-    assert is_finite(lead)
+    assert lead is not INF
     return _scan(polygon, lead, d, pl, abstract=False)
 
 
@@ -185,14 +185,12 @@ def check_criterion_abstract(
     checked_int(d, "criterion requires an integer degree d >= 2", 2)
     if isinstance(valuations, Mapping):
         valuations = valuations.items()
-    pts = list(valuations)
-    by_index = {i: v for i, v in pts}
-    if 0 not in by_index or not is_finite(by_index[0]):
+    pts = [(i, as_valuation(v)) for i, v in valuations]
+    by_index = dict(pts)
+    if by_index.get(0, INF) is INF:
         raise PreconditionError("missing index 0: constant-term valuation required")
-    if d not in by_index or not is_finite(by_index[d]):
+    if by_index.get(d, INF) is INF:
         raise PreconditionError(f"missing index {d}: leading valuation required")
     if any(i > d for i, _ in pts):
         raise PreconditionError(f"valuation index beyond degree {d}")
-    polygon = newton_polygon(pts)
-    lead = as_fraction(by_index[d])
-    return _scan(polygon, lead, d, pl, abstract=True)
+    return _scan(newton_polygon(pts), by_index[d], d, pl, abstract=True)

@@ -38,7 +38,7 @@ from .errors import PreconditionError
 from .heights import canonical_height, survey, survey_to_csv
 from .newton import newton_polygon
 from .polynomial import MAP_DEGREE_MAX, RationalPoly
-from .valuation import INF, Place, as_fraction, as_place, is_finite, val
+from .valuation import Place, as_fraction, as_place, as_valuation, is_finite, val
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,21 +122,17 @@ def parse_polynomial(text: str) -> RationalPoly:
     return RationalPoly(powers.get(k, Fraction(0)) for k in range(max(powers) + 1))
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str, parse=as_fraction):
+    """parse(text), with a refusal turned into a syntax error (exit 2)."""
     try:
-        return as_fraction(text)
+        return parse(text)
     except PreconditionError as exc:
         raise PolynomialSyntaxError(str(exc), 0) from None
 
 
-def _parse_rho(text: str):
-    if text.strip().lower() == "inf":
-        return INF
-    return _parse_rational(text)
-
-
 def _disc_point(args: argparse.Namespace) -> DiscPoint:
-    return DiscPoint(_parse_rational(args.center), _parse_rho(args.rho), args.prime)
+    rho = _parse_rational(args.rho, as_valuation)
+    return DiscPoint(_parse_rational(args.center), rho, args.prime)
 
 
 def _cmd_np(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, checked_int
-from .valuation import INF, Valuation, _json_rational, as_fraction, is_finite
+from .valuation import INF, Valuation, as_fraction, as_valuation
 
 _VERTEX_RULE = "vertex index must be a nonnegative integer"
 
@@ -60,10 +60,10 @@ def polygon_from_json_dict(data: dict) -> NewtonPolygon:
     """Inverse of NewtonPolygon.to_json_dict (exact round-trip).  Refuses
     data that is not the polygon newton_polygon builds from its vertices,
     which also checks their indices."""
-    vertices = tuple((i, _json_rational(v)) for i, v in data["vertices"])
+    vertices = tuple((i, as_fraction(v)) for i, v in data["vertices"])
     segments = tuple(
         Segment(
-            _json_rational(s["slope"]),
+            as_fraction(s["slope"]),
             checked_int(s["length"], "segment length must be an integer"),
         )
         for s in data["segments"]
@@ -79,7 +79,7 @@ def newton_polygon(points: Iterable[tuple[int, Valuation]]) -> NewtonPolygon:
 
     Requires at least two points with finite valuation (otherwise the
     polygon is degenerate and a PreconditionError is raised).  Duplicate
-    indices are rejected.  Valuations may be ints, Fractions, or INF.
+    indices are rejected.  Valuations are rationals or INF (``as_valuation``).
     """
     finite: list[tuple[int, Fraction]] = []
     seen: set[int] = set()
@@ -88,8 +88,9 @@ def newton_polygon(points: Iterable[tuple[int, Valuation]]) -> NewtonPolygon:
         if i in seen:
             raise PreconditionError(f"duplicate index {i}")
         seen.add(i)
-        if is_finite(v):
-            finite.append((i, as_fraction(v)))
+        v = as_valuation(v)
+        if v is not INF:
+            finite.append((i, v))
     if len(finite) < 2:
         raise PreconditionError("degenerate polygon")
     finite.sort()

@@ -266,6 +266,8 @@ _ITERATE_RULE = f"iteration count must be an integer in 0..MAP_DEGREE_MAX = {MAP
 def map_degree(phi: RationalPoly) -> int:
     """Degree d of phi as a dynamical map; every dynamics entry point needs
     2 <= d <= MAP_DEGREE_MAX."""
+    if not isinstance(phi, RationalPoly):
+        raise PreconditionError(f"a map must be a RationalPoly, got {phi!r}")
     d = len(phi.coefficients) - 1  # -1 for the zero polynomial
     if d < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")

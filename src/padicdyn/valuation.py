@@ -11,7 +11,8 @@ this package happen on the valuation side, where arithmetic is exact.
 A ``Place`` bundles a residue prime ``p`` with a ramification index ``e``;
 the value group of the induced valuation on a ramified extension is
 ``(1/e)·Z``, membership in which is ``in_value_group``.  ``as_place`` is
-the package's one place check.
+the package's one place check, ``as_fraction`` its one rational check and
+``as_valuation`` its one rational-or-INF check.
 """
 
 from __future__ import annotations
@@ -115,28 +116,27 @@ _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or '[sign]num[/den]' string to an exact Fraction."""
+    """``x`` as an exact Fraction: a Fraction, an int that is not a bool, or
+    a '[sign]num[/den]' string; else PreconditionError.  The one rational
+    check of the package."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
-        match = _RATIONAL_TEXT.fullmatch(x)
-        if match is not None:
-            try:
-                return Fraction(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):  # the int digit limit, or den 0
-                pass
-        raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
-    raise TypeError(f"not an exact rational: {x!r}")
+    if isinstance(x, str) and (match := _RATIONAL_TEXT.fullmatch(x)):
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # the int digit limit, or den 0
+            pass
+    raise PreconditionError(f"not a rational number [sign]num[/den], got {x!r}")
 
 
-def _json_rational(x: object) -> Fraction:
-    """A rational field of a JSON reader: a '[sign]num[/den]' string or an
-    integer, else PreconditionError (a JSON float is never exact)."""
-    if isinstance(x, str) or type(x) is int:
-        return as_fraction(x)
-    raise PreconditionError(f"not a rational number [sign]num[/den]: {x!r}")
+def as_valuation(x: Valuation | RationalLike) -> Valuation:
+    """INF for INF or the text 'inf', else ``as_fraction(x)``: the one check
+    of a rational-or-INF argument (disc radii, polygon valuations)."""
+    if x is INF or (type(x) is str and x == "inf"):  # Fraction == str is slow
+        return INF
+    return as_fraction(x)
 
 
 def as_place(place: Place | int) -> Place:
@@ -208,7 +208,7 @@ class Place:
 _int_place = functools.lru_cache(maxsize=64)(Place)
 
 
-def reduce_mod_prime_power(x: Fraction, p: Place | int, k: int) -> Fraction:
+def reduce_mod_prime_power(x: RationalLike, p: Place | int, k: int) -> Fraction:
     """A small rational congruent to ``x`` modulo p**k.
 
     ``p`` is a prime or a ``Place`` and ``k`` an integer.  Returns x' with
@@ -219,16 +219,17 @@ def reduce_mod_prime_power(x: Fraction, p: Place | int, k: int) -> Fraction:
     """
     p = as_place(p).p
     checked_int(k, "precision exponent k must be an integer")
+    x = as_fraction(x)
     if x == 0:
         return x
-    v = _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+    num, den = x.numerator, x.denominator
+    v = _int_valuation(num, p) - _int_valuation(den, p)
     if v >= k:
         return Fraction(0)
-    unit = x / Fraction(p) ** v
+    # In lowest terms p divides at most one of num and den, so this is m/n.
+    m, n = (num // p**v, den) if v >= 0 else (num, den // p**-v)
     modulus = p ** (k - v)
-    m = unit.numerator % modulus
-    n_inv = pow(unit.denominator, -1, modulus)
-    u = m * n_inv % modulus
+    u = m % modulus * pow(n, -1, modulus) % modulus
     if v >= 0:
         return Fraction(u * p**v)
     return Fraction(u, p**-v)

@@ -310,6 +310,14 @@ class TestExitCodes:
         assert time.monotonic() - started < 1.0
         assert capsys.readouterr().err.count("not a rational number") == 2
 
+    def test_rho_is_a_rational_or_exactly_inf(self, capsys):
+        argv = ["member", "X^2", "--prime", "2", "--center", "0", "--rho"]
+        for rho in ("INF", " inf"):
+            assert run(argv + [rho]) == 2
+            assert "not a rational number" in capsys.readouterr().err
+        assert run(argv + ["inf"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "bounded_certified"
+
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -367,8 +367,10 @@ _HIGH = f"map degree {MAP_DEGREE_MAX + 1} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_M
 @pytest.mark.parametrize(
     "bad, message",
     [(P(), _LOW), (P(3), _LOW), (P(1, 1), _LOW),
-     (RationalPoly.monomial(MAP_DEGREE_MAX + 1), _HIGH)],
-    ids=["zero", "constant", "X+1", "above-cap"],
+     (RationalPoly.monomial(MAP_DEGREE_MAX + 1), _HIGH),
+     (None, "a map must be a RationalPoly, got None"),
+     ("X^2", "a map must be a RationalPoly, got 'X^2'")],
+    ids=["zero", "constant", "X+1", "above-cap", "none", "text"],
 )
 @pytest.mark.parametrize("name", sorted(_MAP_TAKERS))
 def test_every_map_argument_is_checked_alike(name, bad, message):

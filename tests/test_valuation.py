@@ -35,6 +35,7 @@ from padicdyn import (
     good_reduction,
     in_value_group,
     is_finite,
+    is_preperiodic,
     is_prime,
     lcm_list,
     lcm_range,
@@ -46,6 +47,7 @@ from padicdyn import (
     survey,
     val,
     verify_lcm_exponential_bound,
+    weil_height,
 )
 
 
@@ -304,6 +306,37 @@ _CONSTANT_TAKERS = {
 }
 
 
+# A map with 1/3 and 1 as fixed points, so max_point has a preperiodic center.
+_FIXING_THIRD_AND_ONE = RationalPoly([F(1, 3), F(-4, 3), 1])  # X + (X - 1/3)(X - 1)
+
+# Every public function that takes a rational, each at its rational argument.
+_RATIONAL_TAKERS = {
+    "DiscPoint.center": lambda x: DiscPoint(x, 1, 3),
+    "RationalPoly": lambda x: RationalPoly([x, 1]),
+    "RationalPoly.__call__": lambda x: _PHI(x),
+    "archimedean_escape_rate": lambda x: archimedean_escape_rate(_PHI, x),
+    "canonical_height": lambda x: canonical_height(_PHI, x),
+    "in_value_group": lambda x: in_value_group(x, 2),
+    "is_preperiodic": lambda x: is_preperiodic(_PHI, x),
+    "local_escape_rate": lambda x: local_escape_rate(_PHI, x, 3),
+    "max_point": lambda x: max_point(_FIXING_THIRD_AND_ONE, x, 3),
+    "reduce_mod_prime_power": lambda x: reduce_mod_prime_power(x, 3, 2),
+    "taylor_coefficients": lambda x: _PHI.taylor_coefficients(x),
+    "val": lambda x: val(x, 3),
+    "weil_height": lambda x: weil_height(x),
+}
+
+# Every public function that takes a rational-or-INF valuation; index 0 of
+# the polygon data must be finite, so the value sits at an interior index.
+_VALUATION_TAKERS = {
+    "DiscPoint.rho": lambda v: DiscPoint(F(1, 3), v, 3),
+    "check_criterion_abstract": lambda v: check_criterion_abstract(
+        [(0, F(-1)), (1, v), (2, F(0))], 2, 3
+    ),
+    "newton_polygon": lambda v: newton_polygon([(0, F(0)), (1, v), (2, F(1))]),
+}
+
+
 def _leaks(takers, good, bads):
     """The calls among takers that fail on a good value, or that answer or
     raise anything but PreconditionError("..., got {bad!r}") on a bad one."""
@@ -326,6 +359,18 @@ def _leaks(takers, good, bads):
 
 def test_every_count_argument_is_checked_alike():
     assert _leaks(_COUNT_TAKERS, [2], [True, 2.0, "2", None, F(3)]) == []
+
+
+def test_every_rational_argument_is_checked_alike():
+    bads = [0.5, True, None, "1e5", "inf"]
+    assert _leaks(_RATIONAL_TAKERS, [F(1, 3), 1, "1/3"], bads) == []
+    assert reduce_mod_prime_power("1/3", 3, 2) == reduce_mod_prime_power(F(1, 3), 3, 2)
+
+
+def test_every_valuation_argument_is_checked_alike():
+    bads = [0.5, True, None, "INF", float("inf")]
+    assert _leaks(_VALUATION_TAKERS, [F(1, 2), 1, INF, "inf"], bads) == []
+    assert DiscPoint(F(1, 3), "inf", 3) == DiscPoint(F(1, 3), INF, 3)
 
 
 def test_every_constant_argument_is_checked_alike():
@@ -413,7 +458,7 @@ class TestAsFraction:
         assert as_fraction(F(2, 7)) == F(2, 7)
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(PreconditionError, match="got 0.5"):
             as_fraction(0.5)
 
     def test_strings_are_sign_num_den_only(self):
