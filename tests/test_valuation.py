@@ -307,7 +307,7 @@ _CONSTANT_TAKERS = {
 
 
 # A map with 1/3 and 1 as fixed points, so max_point has a preperiodic center.
-_FIXING_THIRD_AND_ONE = RationalPoly([F(1, 3), F(-4, 3), 1])  # X + (X - 1/3)(X - 1)
+_FIXING_THIRD_AND_ONE = RationalPoly([F(1, 3), F(-1, 3), 1])  # X + (X - 1/3)(X - 1)
 
 # Every public function that takes a rational, each at its rational argument.
 _RATIONAL_TAKERS = {
