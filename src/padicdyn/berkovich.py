@@ -14,7 +14,9 @@ iteration-budget verdicts) are all computed exactly.  Long orbits stay
 exact by reducing centers modulo a high power of p whose exponent is
 provisioned, up front, against the worst-case per-step congruence loss;
 every valuation the verdicts depend on is provably unaffected by the
-reduction.
+reduction.  A disc state is a rational center and radius valuation; a
+type I state is the lowest-terms integer pair (a, b) of its point a/b,
+stepped on the map's integer form, with every valuation taken on integers.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import PreconditionError, checked_int
-from .polynomial import RationalPoly, _integer_form, map_degree, map_invariant
+from .errors import PreconditionError, checked_int, refusing_malformed
+from .polynomial import RationalPoly, _integer_form, checked_poly, map_degree, map_invariant
 from .valuation import (
     INF,
     RationalLike,
     Valuation,
     _int_valuation,
+    _reduce_pair,
     as_fraction,
     as_place,
     as_valuation,
@@ -90,18 +93,23 @@ class DiscPoint:
         }
 
 
-def _disc_key(center: Fraction, rho: Valuation, p: int) -> tuple:
-    """Integers equal for exactly the equal disc points at the prime p: the
-    numerator and denominator of rho and of center mod p**ceil(rho), or of
-    the center alone for a type I point.  A Fraction is in lowest terms, so
-    its pair of integers determines it, and the two lengths keep type I keys
-    apart from disc keys."""
-    if not is_finite(rho):
-        return (center.numerator, center.denominator)
-    r = reduce_mod_prime_power(center, p, math.ceil(rho))
-    return (rho.numerator, rho.denominator, r.numerator, r.denominator)
+def _disc_key(center: Fraction, rho: Fraction, p: int) -> tuple[int, ...]:
+    """Integers equal for exactly the equal discs at the prime p: the
+    numerator and denominator of rho and of center mod p**ceil(rho).  A
+    Fraction is in lowest terms, so its pair of integers determines it."""
+    return (rho.numerator, rho.denominator,
+            *_reduce_pair(center.numerator, center.denominator, p, math.ceil(rho)))
 
 
+def _checked_disc(zeta: DiscPoint) -> DiscPoint:
+    """``zeta`` if it is a DiscPoint, else PreconditionError: the one check
+    of a point argument."""
+    if not isinstance(zeta, DiscPoint):
+        raise PreconditionError(f"a point must be a DiscPoint, got {zeta!r}")
+    return zeta
+
+
+@refusing_malformed("disc point data")
 def disc_point_from_json_dict(data: dict) -> DiscPoint:
     p = checked_int(data["p"], "p must be an integer")
     return DiscPoint(data["center"], data["rho"], p)
@@ -115,6 +123,8 @@ def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
     by the ultrametric maximum principle.  Multiplicative in P, and
     satisfies the ultrametric triangle inequality on the valuation side.
     """
+    _checked_disc(zeta)
+    checked_poly(poly)
     if zeta.is_type_i:
         return val(poly(zeta.center), zeta.p)
     return _taylor_min(poly.taylor_coefficients(zeta.center), 0, zeta.rho, zeta.p)
@@ -139,7 +149,7 @@ def leq(zeta: DiscPoint, other: DiscPoint) -> bool:
     val(center difference) >= other.rho.  Points at different primes are
     not comparable.
     """
-    if zeta.p != other.p:
+    if _checked_disc(zeta).p != _checked_disc(other).p:
         raise PreconditionError(
             f"points at different places are incomparable: {zeta.p} vs {other.p}"
         )
@@ -168,7 +178,8 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
     of phi about a.  Characterized by seminorm(pushforward(phi, zeta), P)
     = seminorm(zeta, P o phi) for every P.
     """
-    if phi.is_zero or phi.degree < 1:
+    _checked_disc(zeta)
+    if checked_poly(phi).is_zero or phi.degree < 1:
         raise PreconditionError("pushforward requires a nonconstant polynomial")
     if zeta.is_type_i:
         return DiscPoint(phi(zeta.center), INF, zeta.p)
@@ -347,18 +358,19 @@ def filled_julia_membership(
     provably the true one.  W depends only on phi, p, ``max_iter`` and the
     size of the starting radius, so its plan is computed once and kept on
     the map object; a call that ends at step 0 or 1 pays for little more
-    than those steps.  A type I center stays exact while the orbit can
-    repeat: until, at some step m >= 1, its naive height passes the growth
-    bound of ``_height_growth_bound``.  From there on heights increase
-    strictly, so the orbit provably never repeats; the center is reduced
-    like a disc center and only escape detection continues.
+    than those steps.  A type I state is the lowest-terms integer pair
+    (a, b) of its center a/b, stepped by Horner's rule on phi's integer
+    form; it stays exact while the orbit can repeat: until, at some step
+    m >= 1, its naive height passes the growth bound of
+    ``_height_growth_bound``.  From there on heights increase strictly, so
+    the orbit provably never repeats; the pair is reduced like a disc
+    center and only escape detection continues.
     If a disc orbit outruns the window (enormous radii), cycle
     certification is disabled for the remaining steps but escape detection
     stays sound.
     """
     checked_int(max_iter, _MAX_ITER_RULE, 1, MEMBERSHIP_MAX_ITER)
-    type_i = zeta.is_type_i
-    if not type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
+    if not _checked_disc(zeta).is_type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
         raise PreconditionError(
             "disc radius valuation exceeds MEMBERSHIP_RHO_MAX = "
             f"{MEMBERSHIP_RHO_MAX} in absolute value"
@@ -366,8 +378,9 @@ def filled_julia_membership(
     map_degree(phi)  # so that escape_threshold is only called on a map it accepts
     p = zeta.p
     v_c = escape_threshold(phi, p)
-    rho0_mag = 0 if type_i else 2 * math.ceil(abs(zeta.rho))
-    plan = map_invariant(phi, _OrbitPlan, p, max_iter, rho0_mag)
+    if zeta.is_type_i:
+        return _type_i_orbit(phi, zeta.center, p, v_c, max_iter)
+    plan = map_invariant(phi, _OrbitPlan, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
     window, size = plan.window, plan.size
 
     # A center is a number congruent to itself, so it stays as it is until
@@ -377,9 +390,7 @@ def filled_julia_membership(
             return x
         return reduce_mod_prime_power(x, p, window)
 
-    # A type I center stays exact while the orbit can repeat: a reduced one
-    # could give two distinct points the same cycle key.
-    center = zeta.center if type_i else small(zeta.center)
+    center = small(zeta.center)
     rho = zeta.rho
     certifiable = True
     seen: dict[tuple, int] = {}
@@ -391,7 +402,7 @@ def filled_julia_membership(
         # one that does is the true value.
         if center.numerator:
             t = _int_valuation(center.numerator, p) - _int_valuation(center.denominator, p)
-            if not type_i and rho < t:
+            if rho < t:
                 t = rho
         else:
             t = rho
@@ -399,36 +410,84 @@ def filled_julia_membership(
             return Escaped(m, Fraction(t))
 
         if certifiable:
-            # Checked from step 1 on, after the escape test, so orbits that
-            # escape at once never pay for the bound.
-            if type_i and m >= 1 and _past_growth_bound(phi, center):
-                certifiable = False  # the orbit can no longer repeat
-                center = small(center)
-            else:
-                key = _disc_key(center, rho, p)
-                if key in seen:
-                    return BoundedCertified(seen[key], m - seen[key])
-                seen[key] = m
+            key = _disc_key(center, rho, p)
+            if key in seen:
+                return BoundedCertified(seen[key], m - seen[key])
+            seen[key] = m
 
         if m == max_iter:
             break
 
-        # Advance one step.
-        if not is_finite(rho):
-            center = phi(center) if certifiable else small(phi(center))
-        else:
-            tay = phi.taylor_coefficients(center)
-            rho_new: Valuation = INF
-            for n in range(1, len(tay)):
-                if tay[n] == 0:
-                    continue
-                term = n * rho + val(tay[n], p)
+        # Advance one step: the image radius is min of n*rho + val(c_n), n >= 1.
+        tay = phi.taylor_coefficients(center)
+        rho_new: Valuation = INF
+        for n in range(1, len(tay)):
+            c = tay[n]
+            if c.numerator:
+                term = n * rho + (_int_valuation(c.numerator, p) - _int_valuation(c.denominator, p))
                 if term < rho_new:
                     rho_new = term
-            if rho_new >= plan.rho_trust:
-                certifiable = False
-            rho = rho_new
-            center = small(tay[0])
+        if rho_new >= plan.rho_trust:
+            certifiable = False
+        rho = rho_new
+        center = small(tay[0])
+
+    return BoundedUpTo(max_iter)
+
+
+def _type_i_orbit(
+    phi: RationalPoly, center: Fraction, p: int, v_c: Fraction, max_iter: int
+) -> MembershipVerdict:
+    """``filled_julia_membership`` from the type I point ``center``, on the
+    lowest-terms pair (a, b) of each orbit point a/b: one Horner pass on
+    phi's integer form and one gcd per step, the escape test t < v_C as
+    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key."""
+    w, ints = map_invariant(phi, _integer_form)
+    lead, rest = ints[-1], ints[-2::-1]
+    vn, vd = v_c.numerator, v_c.denominator
+    plan = map_invariant(phi, _OrbitPlan, p, max_iter, 0)
+    window, size = plan.window, plan.size
+    a, b = center.numerator, center.denominator
+    certifiable = True
+    seen: dict[tuple[int, int], int] = {}
+    bound = math.inf  # the growth bound, looked up at step 1
+
+    for m in range(max_iter + 1):
+        if a:
+            t = _int_valuation(a, p) - _int_valuation(b, p)
+            if t * vd < vn:
+                return Escaped(m, Fraction(t))
+
+        if certifiable:
+            # Checked from step 1 on, after the escape test, so orbits that
+            # escape at once never pay for the bound.
+            if m == 1:
+                bound = map_invariant(phi, _height_growth_bound) + 1e-9
+            if math.log(max(abs(a), b)) > bound:
+                certifiable = False  # the orbit can no longer repeat
+            else:
+                key = (a, b)
+                if key in seen:
+                    return BoundedCertified(seen[key], m - seen[key])
+                seen[key] = m
+
+        # A pair stays exact while the orbit can repeat: a reduced one could
+        # give two distinct points the same cycle key.  Past that, it is
+        # reduced only once it grows past p**W, like a disc center.
+        if not certifiable and (abs(a) > size or b > size):
+            a, b = _reduce_pair(a, b, p, window)
+
+        if m == max_iter:
+            break
+
+        # phi(a/b) = (sum A_i a**i b**(d-i)) / (W b**d), in lowest terms.
+        acc, bpow = lead, 1
+        for c in rest:
+            bpow *= b
+            acc = acc * a + c * bpow
+        bpow *= w
+        g = math.gcd(acc, bpow)
+        a, b = acc // g, bpow // g
 
     return BoundedUpTo(max_iter)
 

@@ -27,8 +27,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import PreconditionError, checked_int
-from .newton import _VERTEX_RULE, NewtonPolygon, newton_polygon, polygon_from_json_dict
+from .errors import PreconditionError, checked_int, checked_pairs, refusing_malformed
+from .newton import (
+    _POINTS_RULE, _VERTEX_RULE, NewtonPolygon, newton_polygon, polygon_from_json_dict,
+)
 from .polynomial import RationalPoly, map_degree
 from .valuation import (
     INF,
@@ -90,6 +92,7 @@ class BogomolovCertificate:
         return json.dumps(self.to_json_dict())
 
 
+@refusing_malformed("certificate data")
 def certificate_from_json_dict(data: dict) -> BogomolovCertificate:
     """Inverse of BogomolovCertificate.to_json_dict (exact round-trip).
     Refuses data whose verdict or witness is not what the slope test gives
@@ -185,7 +188,7 @@ def check_criterion_abstract(
     checked_int(d, "criterion requires an integer degree d >= 2", 2)
     if isinstance(valuations, Mapping):
         valuations = valuations.items()
-    pts = [(i, as_valuation(v)) for i, v in valuations]
+    pts = [(i, as_valuation(v)) for i, v in checked_pairs(valuations, _POINTS_RULE)]
     by_index = dict(pts)
     if by_index.get(0, INF) is INF:
         raise PreconditionError("missing index 0: constant-term valuation required")

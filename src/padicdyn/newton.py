@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, checked_int
+from .errors import PreconditionError, checked_int, checked_pairs, refusing_malformed
 from .valuation import INF, Valuation, as_fraction, as_valuation
 
 _VERTEX_RULE = "vertex index must be a nonnegative integer"
+_POINTS_RULE = "points must be (index, valuation) pairs"
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ class NewtonPolygon:
         return json.dumps(self.to_json_dict())
 
 
+@refusing_malformed("polygon data")
 def polygon_from_json_dict(data: dict) -> NewtonPolygon:
     """Inverse of NewtonPolygon.to_json_dict (exact round-trip).  Refuses
     data that is not the polygon newton_polygon builds from its vertices,
@@ -83,7 +85,7 @@ def newton_polygon(points: Iterable[tuple[int, Valuation]]) -> NewtonPolygon:
     """
     finite: list[tuple[int, Fraction]] = []
     seen: set[int] = set()
-    for i, v in points:
+    for i, v in checked_pairs(points, _POINTS_RULE):
         checked_int(i, _VERTEX_RULE, 0)
         if i in seen:
             raise PreconditionError(f"duplicate index {i}")

@@ -16,9 +16,9 @@ from an integer numerator and denominator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from .errors import PreconditionError, checked_int
 from .newton import newton_polygon
@@ -37,6 +37,9 @@ class RationalPoly:
     __slots__ = ("_coeffs", "_prepared")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
+        if isinstance(coefficients, str) or not isinstance(coefficients, Iterable):
+            rule = "coefficients must be an iterable of rationals, not text"
+            raise PreconditionError(f"{rule}, got {coefficients!r}")
         coeffs = [as_fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -194,7 +197,7 @@ class RationalPoly:
         Refuses, before doing any work, a result of degree above
         MAP_DEGREE_MAX: the cost grows with the square of that degree.
         """
-        d = (len(self._coeffs) - 1) * (len(inner._coeffs) - 1)
+        d = (len(self._coeffs) - 1) * (len(checked_poly(inner)._coeffs) - 1)
         if d > MAP_DEGREE_MAX:
             raise PreconditionError(
                 f"composition degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
@@ -263,12 +266,18 @@ MAP_DEGREE_MAX = 256
 _ITERATE_RULE = f"iteration count must be an integer in 0..MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
 
 
+def checked_poly(poly: RationalPoly, what: str = "a polynomial") -> RationalPoly:
+    """``poly`` if it is a RationalPoly, else PreconditionError(f"{what} must
+    be a RationalPoly, got {poly!r}"): the one polynomial check."""
+    if not isinstance(poly, RationalPoly):
+        raise PreconditionError(f"{what} must be a RationalPoly, got {poly!r}")
+    return poly
+
+
 def map_degree(phi: RationalPoly) -> int:
     """Degree d of phi as a dynamical map; every dynamics entry point needs
     2 <= d <= MAP_DEGREE_MAX."""
-    if not isinstance(phi, RationalPoly):
-        raise PreconditionError(f"a map must be a RationalPoly, got {phi!r}")
-    d = len(phi.coefficients) - 1  # -1 for the zero polynomial
+    d = len(checked_poly(phi, "a map").coefficients) - 1  # -1 for the zero polynomial
     if d < 2:
         raise PreconditionError("dynamics requires a polynomial of degree >= 2")
     if d > MAP_DEGREE_MAX:
@@ -307,7 +316,7 @@ def format_polynomial(poly: RationalPoly) -> str:
     -1 on X-terms are elided, other coefficients print as 'c*X^n', and the
     constant term prints bare.
     """
-    if poly.is_zero:
+    if checked_poly(poly).is_zero:
         return "0"
     parts: list[str] = []
     for i in range(poly.degree, -1, -1):

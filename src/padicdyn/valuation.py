@@ -220,16 +220,21 @@ def reduce_mod_prime_power(x: RationalLike, p: Place | int, k: int) -> Fraction:
     p = as_place(p).p
     checked_int(k, "precision exponent k must be an integer")
     x = as_fraction(x)
-    if x == 0:
-        return x
-    num, den = x.numerator, x.denominator
+    num, den = _reduce_pair(x.numerator, x.denominator, p, k)
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _reduce_pair(num: int, den: int, p: int, k: int) -> tuple[int, int]:
+    """``reduce_mod_prime_power`` on the lowest-terms pair num/den (den > 0),
+    returning a lowest-terms pair; p a prime and k an integer, unchecked."""
+    if not num:
+        return 0, 1
     v = _int_valuation(num, p) - _int_valuation(den, p)
     if v >= k:
-        return Fraction(0)
+        return 0, 1
     # In lowest terms p divides at most one of num and den, so this is m/n.
     m, n = (num // p**v, den) if v >= 0 else (num, den // p**-v)
     modulus = p ** (k - v)
+    # u is a unit mod p, since m and n are, so u/p**-v is in lowest terms.
     u = m % modulus * pow(n, -1, modulus) % modulus
-    if v >= 0:
-        return Fraction(u * p**v)
-    return Fraction(u, p**-v)
+    return (u * p**v, 1) if v >= 0 else (u, p**-v)

@@ -31,6 +31,7 @@ from padicdyn import (
     filled_julia_membership,
     good_reduction,
     leq,
+    local_escape_rate,
     max_point,
     noncontainment_witness,
     pushforward,
@@ -39,7 +40,12 @@ from padicdyn import (
     val,
     verdict_to_json_dict,
 )
-from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, MEMBERSHIP_RHO_MAX, _simplest_open
+from padicdyn.berkovich import (
+    MEMBERSHIP_MAX_ITER,
+    MEMBERSHIP_RHO_MAX,
+    _OrbitPlan,
+    _simplest_open,
+)
 
 
 def P(*ascending):
@@ -424,9 +430,12 @@ class TestFilledJuliaMembership:
         assert time.monotonic() - started < 0.5
 
     @staticmethod
-    def _replay(phi, zeta, max_iter):
+    def _replay(phi, zeta, max_iter, max_bits=None):
         """The verdict of an exact orbit replay, or None once a radius
         valuation reaches 64, where membership stops certifying by design.
+        With ``max_bits``, a type I replay stops before a point whose
+        numerator or denominator is longer, with the verdict BoundedUpTo(k)
+        for the k steps before it that it checked.
 
         Discs go through pushforward, re-centered at their center mod
         p**ceil(rho) (any center of a disc has the same image); type I
@@ -437,6 +446,9 @@ class TestFilledJuliaMembership:
         for m in range(max_iter + 1):
             if not zeta.is_type_i and zeta.rho >= 64:
                 return None
+            size = max(abs(zeta.center.numerator), zeta.center.denominator)
+            if max_bits and size.bit_length() > max_bits:
+                return BoundedUpTo(m - 1)
             t = min(val(zeta.center, p), zeta.rho)
             if t < v_c:
                 return Escaped(m, t)
@@ -478,6 +490,84 @@ class TestFilledJuliaMembership:
             seen[type(expected)] += 1
         assert min(seen.values()) >= 40, seen
         assert skipped <= 40
+
+    def test_integer_type_i_orbits_match_exact_replay(self):
+        # Random maps of degree 2-5, half p-integral and half with p in a
+        # denominator, from integers and rationals with and without p in the
+        # denominator, at budgets up to 256.  Where the exact replay stops
+        # early (its points outgrow max_bits), the engine must report no
+        # escape and no cycle at the steps the replay checked.  The reduced
+        # phase is reached when an exact orbit point at or before the verdict
+        # outgrows p**W, the window of the engine's plan.
+        rng = random.Random(71)
+        decided = {Escaped: 0, BoundedCertified: 0, BoundedUpTo: 0}
+        reduced = truncated = 0
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7])
+            d = rng.randint(2, 5)
+            if rng.random() < 0.5:
+                dens = [q for q in (1, 1, 2, 3, 5, 7) if q != p]
+            else:
+                dens = [1, 1, p, p * p]
+            cs = [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)]
+            cs.append(F(rng.choice([1, -1, 2, 3, p]), rng.choice(dens)))
+            center = F(rng.randint(-20, 20), rng.choice([1, 2, 3, 6, p, p * p]))
+            kind = rng.random()
+            if kind < 0.25:
+                # a + lam*(X - a) + mu*(X - a)**2 with |lam| > 1 at p: from
+                # a + p**k the orbit leaves a one p-adic digit a step, so it
+                # escapes late, often after its pairs have been reduced.
+                a, mu = F(rng.randint(-4, 4)), F(rng.choice([1, -1, 3]))
+                lam = F(rng.choice([1, 2, 4]) * p + 1, p)
+                cs = [a - lam * a + mu * a * a, lam - 2 * mu * a, mu]
+                center = a + F(p) ** rng.randint(2, 12)
+            elif kind < 0.5:
+                # The linear and constant terms send center -> e -> f, with f
+                # center or e, so the orbit cycles unless it escapes first.
+                e = center + rng.choice([-1, 1]) * F(rng.randint(1, 9), rng.choice(dens))
+                f = rng.choice([center, e])
+                high = RationalPoly([0, 0] + cs[2:])
+                slope = (e - f - high(center) + high(e)) / (center - e)
+                cs[:2] = [e - high(center) - slope * center, slope]
+            phi = RationalPoly(cs)
+            d = phi.degree
+            max_iter = rng.choice([rng.randint(1, 12), rng.randint(64, 256), 256])
+            zeta = DiscPoint(center, INF, p)
+            expected = self._replay(phi, zeta, max_iter, max_bits=20_000)
+            verdict = filled_julia_membership(phi, zeta, max_iter)
+            if isinstance(expected, BoundedUpTo) and expected.max_iter < max_iter:
+                truncated += 1
+                k = expected.max_iter
+                if isinstance(verdict, Escaped):
+                    assert verdict.step > k, (phi, zeta, max_iter)
+                elif isinstance(verdict, BoundedCertified):
+                    assert verdict.cycle_start + verdict.cycle_length > k, (phi, zeta, max_iter)
+                continue
+            assert verdict == expected, (phi, zeta, max_iter)
+            decided[type(expected)] += 1
+            rate = local_escape_rate(phi, center, p, max_iter).log_p_multiple
+            if isinstance(expected, Escaped):
+                assert verdict.valuation == expected.valuation
+                t, vad = expected.valuation, val(phi.leading_coefficient, p)
+                assert rate == (-t - vad / (d - 1)) / d**expected.step
+            elif isinstance(expected, BoundedCertified):
+                assert rate == 0
+            elif all(c.denominator % p for c in (center, *phi.coefficients)):
+                assert rate == 0  # the integral trap
+            else:
+                assert rate is None
+            if isinstance(expected, BoundedCertified):
+                continue  # a cycling orbit has bounded height
+            end = verdict.step if isinstance(expected, Escaped) else max_iter
+            size = p ** _OrbitPlan(phi, p, max_iter, 0).window
+            point = center
+            for _ in range(end):
+                point = phi(point)
+                if abs(point.numerator) > size or point.denominator > size:
+                    reduced += 1
+                    break
+        assert min(decided.values()) >= 10 and reduced >= 10 and truncated >= 10, (
+            decided, reduced, truncated)
 
     def test_plan_kept_on_a_warm_map_matches_a_fresh_map(self):
         # One map object answers every (point, max_iter) in a shuffled order,
@@ -669,3 +759,29 @@ class TestGoodReduction:
             # k >= 0 and k + min val >= 0: solvable iff vres = 0, min val >= 0
             achievable = vres == 0 and min(vals) >= 0
             assert achievable == good_reduction(phi, Place(p))
+
+
+_POINT = DiscPoint(0, 0, 3)
+_NOT_A_POINT = "a point must be a DiscPoint, got None"
+_NOT_A_POLY = "a polynomial must be a RationalPoly, got None"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: seminorm(None, P(0, 0, 1)), _NOT_A_POINT),
+        (lambda: pushforward(P(0, 0, 1), None), _NOT_A_POINT),
+        (lambda: filled_julia_membership(P(0, 0, 1), None), _NOT_A_POINT),
+        (lambda: leq(_POINT, None), _NOT_A_POINT),
+        (lambda: seminorm(_POINT, None), _NOT_A_POLY),
+        (lambda: pushforward(None, _POINT), _NOT_A_POLY),
+        (lambda: disc_point_from_json_dict({}), "malformed disc point data, got {}"),
+        (lambda: disc_point_from_json_dict(None), "malformed disc point data, got None"),
+    ],
+    ids=["seminorm-point", "pushforward-point", "membership-point", "leq-point",
+         "seminorm-poly", "pushforward-poly", "reader-empty", "reader-None"],
+)
+def test_a_point_or_polynomial_of_the_wrong_kind_is_refused(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message

@@ -247,6 +247,7 @@ class TestCertificateData:
             (("witness", "segment", 0, 0), 0.5, "vertex index must be"),
             (("witness", "slope"), 0.2, "not a rational number"),
             (("polygon", "segments", 0, "length"), "5", "segment length must be"),
+            (("witness",), 5, "^malformed certificate data, got"),
         ],
     )
     def test_reader_takes_exact_fields_only(self, path, bad, message):
@@ -326,3 +327,21 @@ class TestCertificateData:
         i0, i1 = cert.witness_segment
         verts = list(cert.polygon.vertices)
         assert i0 in verts and i1 in verts
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: certificate_from_json_dict(None), "malformed certificate data, got None"),
+        (lambda: certificate_from_json_dict({"p": 2}), "malformed certificate data, got {'p': 2}"),
+        (lambda: check_criterion_abstract(None, 2, 3),
+         "points must be (index, valuation) pairs, got None"),
+        (lambda: check_criterion_abstract([(0, 1), (2,)], 2, 3),
+         "points must be (index, valuation) pairs, got [(0, 1), (2,)]"),
+    ],
+    ids=["reader-None", "reader-no-e", "abstract-None", "abstract-single"],
+)
+def test_malformed_certificate_and_valuation_data_are_refused(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message

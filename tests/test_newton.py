@@ -272,3 +272,25 @@ class TestSerialization:
         data = polygon.to_json_dict()
         assert data["vertices"][0] == [0, "-1/3"]
         assert data["segments"][0]["slope"] == "1/6"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: newton_polygon(None), "points must be (index, valuation) pairs, got None"),
+        (lambda: newton_polygon([(0, 1, 2), (1, 2)]),
+         "points must be (index, valuation) pairs, got [(0, 1, 2), (1, 2)]"),
+        (lambda: newton_polygon("01"), "points must be (index, valuation) pairs, got '01'"),
+        (lambda: polygon_from_json_dict(None), "malformed polygon data, got None"),
+        (lambda: polygon_from_json_dict({"vertices": [[0]], "segments": []}),
+         "malformed polygon data, got {'vertices': [[0]], 'segments': []}"),
+        (lambda: polygon_from_json_dict({"vertices": [[0, "1"], [2, "0"]]}),
+         "malformed polygon data, got {'vertices': [[0, '1'], [2, '0']]}"),
+    ],
+    ids=["np-None", "np-triple", "np-text", "reader-None", "reader-short-vertex",
+         "reader-no-segments"],
+)
+def test_malformed_points_and_polygon_data_are_refused(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message

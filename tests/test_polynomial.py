@@ -377,3 +377,24 @@ def test_every_map_argument_is_checked_alike(name, bad, message):
     with pytest.raises(PreconditionError) as err:
         _MAP_TAKERS[name](bad)
     assert str(err.value) == message
+
+
+_NOT_COEFFICIENTS = "coefficients must be an iterable of rationals, not text"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RationalPoly(None), f"{_NOT_COEFFICIENTS}, got None"),
+        (lambda: RationalPoly(5), f"{_NOT_COEFFICIENTS}, got 5"),
+        (lambda: RationalPoly("123"), f"{_NOT_COEFFICIENTS}, got '123'"),
+        (lambda: P(0, 0, 1).compose(None), "a polynomial must be a RationalPoly, got None"),
+        (lambda: format_polynomial(None), "a polynomial must be a RationalPoly, got None"),
+    ],
+    ids=["RationalPoly-None", "RationalPoly-int", "RationalPoly-text", "compose-None",
+         "format_polynomial-None"],
+)
+def test_a_non_polynomial_argument_is_refused(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message
