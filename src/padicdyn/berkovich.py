@@ -38,7 +38,6 @@ from .valuation import (
     as_place,
     as_valuation,
     is_finite,
-    reduce_mod_prime_power,
     val,
 )
 
@@ -76,9 +75,9 @@ class DiscPoint:
 
     def __hash__(self) -> int:
         # Equal discs agree mod p**ceil(rho), so also mod p**64, which is cheap.
-        c = self.center
+        c = (self.center.numerator, self.center.denominator)
         if not self.is_type_i:
-            c = reduce_mod_prime_power(c, self.p, min(math.ceil(self.rho), 64))
+            c = _reduce_pair(*c, self.p, min(math.ceil(self.rho), 64))
         return hash((self.p, self.rho, c))
 
     def __repr__(self) -> str:
@@ -252,12 +251,6 @@ def _height_growth_bound(phi: RationalPoly) -> float:
     return c_low / (d - 1)
 
 
-def _past_growth_bound(phi: RationalPoly, z: Fraction) -> bool:
-    """Whether h(z) exceeds phi's growth bound: from z on, the naive heights
-    of the orbit increase strictly, so it never repeats."""
-    return weil_height(z) > map_invariant(phi, _height_growth_bound) + 1e-9
-
-
 # -- filled Julia membership -------------------------------------------------
 
 
@@ -302,7 +295,7 @@ def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
         }
     if isinstance(verdict, BoundedUpTo):
         return {"verdict": "bounded_up_to", "max_iter": verdict.max_iter}
-    raise TypeError(f"not a membership verdict: {verdict!r}")
+    raise PreconditionError(f"not a membership verdict, got {verdict!r}")
 
 
 # The p-adic window grows like (max_iter + 1) * loss_per_step, so max_iter is
@@ -375,9 +368,8 @@ def filled_julia_membership(
             "disc radius valuation exceeds MEMBERSHIP_RHO_MAX = "
             f"{MEMBERSHIP_RHO_MAX} in absolute value"
         )
-    map_degree(phi)  # so that escape_threshold is only called on a map it accepts
     p = zeta.p
-    v_c = escape_threshold(phi, p)
+    v_c = escape_threshold(phi, p)  # checks the map
     if zeta.is_type_i:
         return _type_i_orbit(phi, zeta.center, p, v_c, max_iter)
     plan = map_invariant(phi, _OrbitPlan, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
@@ -388,7 +380,7 @@ def filled_julia_membership(
     def small(x: Fraction) -> Fraction:
         if abs(x.numerator) <= size and x.denominator <= size:
             return x
-        return reduce_mod_prime_power(x, p, window)
+        return Fraction(*_reduce_pair(x.numerator, x.denominator, p, window))
 
     center = small(zeta.center)
     rho = zeta.rho
@@ -441,7 +433,8 @@ def _type_i_orbit(
     """``filled_julia_membership`` from the type I point ``center``, on the
     lowest-terms pair (a, b) of each orbit point a/b: one Horner pass on
     phi's integer form and one gcd per step, the escape test t < v_C as
-    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key."""
+    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key.  Callers
+    check phi, p and max_iter; ``local_escape_rate`` calls it directly."""
     w, ints = map_invariant(phi, _integer_form)
     lead, rest = ints[-1], ints[-2::-1]
     vn, vd = v_c.numerator, v_c.denominator

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,6 +64,8 @@ _LOG_SCALE = 16
 
 def lcm_list(values: Sequence[int]) -> tuple[int, int]:
     """Exact least common multiple and maximum of positive integers."""
+    if not isinstance(values, Iterable):
+        raise PreconditionError(f"lcm requires an iterable of positive integers, got {values!r}")
     vals = list(values)
     if not vals:
         raise PreconditionError("lcm of an empty list")

@@ -63,6 +63,8 @@ def parse_polynomial(text: str) -> RationalPoly:
     Tokens are (kind, value, position): an ASCII digit run is one "int", and
     an "end" token at len(text) closes the list.  A bad character or an
     over-long integer is reported before any grammar error."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"a polynomial expression must be a string, got {text!r}")
     tokens: list[tuple[str, int | None, int]] = []
     for m in _TOKEN.finditer(text):
         if m[1]:

@@ -5,8 +5,9 @@ phi decomposes as a sum of local escape rates: one archimedean term and one
 term for each prime where either x or a coefficient of phi fails to be
 integral (all other primes contribute exactly zero).
 
-Finite places are handled exactly, on the orbit engine of
-``filled_julia_membership`` run at the type I point x: once the orbit's
+Finite places are handled exactly, on the type I loop of the orbit engine
+behind ``filled_julia_membership``, run at x with the arguments checked
+once, by ``local_escape_rate`` itself: once the orbit's
 valuation crosses the escape threshold at step m, the local escape rate is
 the exact rational multiple d**-m * (-t_m - val(a_d)/(d-1)) of log p, and
 orbits that stay integral, or visit the same rational twice, contribute an
@@ -48,21 +49,19 @@ from typing import Iterator
 
 from .berkovich import (
     BoundedCertified,
-    DiscPoint,
     Escaped,
     MEMBERSHIP_MAX_ITER,
     _height_growth_bound,
     _LocalInvariants,
     _MAX_ITER_RULE,
-    _past_growth_bound,
+    _type_i_orbit,
     escape_threshold,
-    filled_julia_membership,
     weil_height,
 )
 from .errors import PreconditionError, checked_int, checked_real
 from .polynomial import RationalPoly, map_degree, map_invariant
 from .primes import factorize
-from .valuation import INF, Place, RationalLike, as_fraction, as_place
+from .valuation import Place, RationalLike, as_fraction, as_place
 
 EPS_FLOOR = 1e-12
 _EPS_RULE = (
@@ -110,8 +109,7 @@ class LocalContribution:
         }
 
 
-def _exact_zero() -> LocalContribution:
-    return LocalContribution(0.0, 0.0, Fraction(0), None)
+_EXACT_ZERO = LocalContribution(0.0, 0.0, Fraction(0), None)
 
 
 def local_escape_rate(
@@ -119,7 +117,10 @@ def local_escape_rate(
 ) -> LocalContribution:
     """The p-adic escape rate g_p(x): lim d**-m log+ |phi^m(x)|_p.
 
-    Runs ``filled_julia_membership`` on the type I point x.  Exact outcomes:
+    Checks phi, x, p and ``max_iter`` once, then runs the type I loop of
+    the membership engine on x directly, with v_C from ``escape_threshold``:
+    the verdict is that of ``filled_julia_membership`` at the type I point
+    x, without its second round of checks.  Exact outcomes:
     a certified escape at step m gives the exact rational multiple
     d**-m * (-t_m - val(a_d)/(d-1)) of log p, where t_m is the escaping
     valuation; an integral trap (integral coefficients and point) or an
@@ -131,17 +132,17 @@ def local_escape_rate(
     ramification index.
     """
     d = map_degree(phi)
-    zeta = DiscPoint(x, INF, p)  # checks the place
-    p = zeta.p
+    xf = as_fraction(x)
+    p = as_place(p).p
     checked_int(max_iter, _MAX_ITER_RULE, 1, MEMBERSHIP_MAX_ITER)
 
     # Integral trap: integral coefficients keep integral points integral,
     # and the escape threshold is then <= 0, so the orbit never escapes.
     inv = map_invariant(phi, _LocalInvariants, p)
-    if zeta.center.denominator % p and inv.integral:
-        return _exact_zero()
+    if xf.denominator % p and inv.integral:
+        return _EXACT_ZERO
 
-    verdict = filled_julia_membership(phi, zeta, max_iter)
+    verdict = _type_i_orbit(phi, xf, p, escape_threshold(phi, p), max_iter)
     if isinstance(verdict, Escaped):
         # q = d**-m * (-t - val(a_d)/(d-1)), as one Fraction.
         t, vad = verdict.valuation, inv.vad
@@ -151,7 +152,7 @@ def local_escape_rate(
         )
         return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
     if isinstance(verdict, BoundedCertified):
-        return _exact_zero()
+        return _EXACT_ZERO
     return LocalContribution(0.0, _tail_bound_p(phi, p, max_iter), None, None)
 
 
@@ -378,7 +379,7 @@ def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertific
                 True, seen[key], k - seen[key], None, bound
             )
         seen[key] = k
-        if _past_growth_bound(phi, z):
+        if weil_height(z) > bound + 1e-9:  # heights increase strictly from z on
             return PreperiodicityCertificate(False, None, None, k, bound)
         z = phi(z)
     raise PreconditionError(
@@ -414,11 +415,6 @@ class HeightResult:
         }
 
 
-def _active_primes(phi: RationalPoly, x: Fraction) -> list[int]:
-    """Primes where x or a coefficient is non-integral; all others give 0."""
-    return sorted(map_invariant(phi, _denominator_primes).union(factorize(x.denominator)))
-
-
 def _denominator_primes(phi: RationalPoly) -> frozenset[int]:
     """The primes dividing a coefficient's denominator."""
     return frozenset().union(*map(factorize, (c.denominator for c in phi.coefficients)))
@@ -438,11 +434,12 @@ def canonical_height(
     d = map_degree(phi)
     checked_real(eps, _EPS_RULE, EPS_FLOOR)
     xf = as_fraction(x)
-    active = _active_primes(phi, xf)
+    # Primes where x or a coefficient is non-integral; all others give 0.
+    active = sorted(map_invariant(phi, _denominator_primes).union(factorize(xf.denominator)))
     if is_preperiodic(phi, xf):
-        parts = {"inf": _exact_zero()}
+        parts = {"inf": _EXACT_ZERO}
         for p in active:
-            parts[str(p)] = _exact_zero()
+            parts[str(p)] = _EXACT_ZERO
         return HeightResult(0.0, 0.0, parts, preperiodic=True)
 
     parts = {}

@@ -30,6 +30,7 @@ from padicdyn import (
     escape_threshold,
     filled_julia_membership,
     good_reduction,
+    is_preperiodic,
     leq,
     local_escape_rate,
     max_point,
@@ -39,6 +40,7 @@ from padicdyn import (
     seminorm,
     val,
     verdict_to_json_dict,
+    weil_height,
 )
 from padicdyn.berkovich import (
     MEMBERSHIP_MAX_ITER,
@@ -569,6 +571,64 @@ class TestFilledJuliaMembership:
         assert min(decided.values()) >= 10 and reduced >= 10 and truncated >= 10, (
             decided, reduced, truncated)
 
+    @staticmethod
+    def _replay_at_twice_the_window(phi, x, p, max_iter):
+        """The type I verdict of an orbit replay on Fractions with phi(z) that,
+        once the orbit is past phi's growth bound, reduces each point modulo
+        p**(2W), W the window of the engine's plan, and the number of steps
+        it reduced.  Past the bound no point can recur, and 2W digits keep
+        every valuation below W exact for the whole budget, so a window
+        provisioned too small shows as a different verdict."""
+        v_c = escape_threshold(phi, p)
+        bound = is_preperiodic(phi, x).growth_bound + 1e-9
+        window = 2 * _OrbitPlan(phi, p, max_iter, 0).window
+        z, seen, reduced, past = x, {}, 0, False
+        for m in range(max_iter + 1):
+            t = val(z, p)
+            if t < v_c:
+                return Escaped(m, t), reduced
+            past = past or weil_height(z) > bound
+            if not past:
+                if z in seen:
+                    return BoundedCertified(seen[z], m - seen[z]), reduced
+                seen[z] = m
+            if m == max_iter:
+                break
+            z = phi(z)
+            if past:
+                z = reduce_mod_prime_power(z, p, window)
+                reduced += 1
+        return BoundedUpTo(max_iter), reduced
+
+    def test_type_i_window_matches_a_replay_at_twice_the_window(self):
+        # phi = psi(X - a) with psi(Y) = a + lam*Y + c_2*Y**2 + ... + c_d*Y**d,
+        # a != 0, val(lam) = -j and the c_i p-adic units: phi fixes a and repels
+        # from it by j digits a step, so from a + p**k*r the orbit escapes
+        # near step k/j, or outlasts the budget, after 100 or more reduced
+        # steps.  The engine must then read the same valuations from its
+        # window W as the replay from 2W.
+        rng = random.Random(79)
+        seen = {Escaped: 0, BoundedUpTo: 0}
+        for _ in range(40):
+            p = rng.choice([2, 3, 5, 7])
+            j = rng.choice([1, 1, 2])
+            units = [q for q in (1, -1, 2, -2, 3, 4, 5, 6) if q % p]
+            a = F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([q for q in (1, 2, 3, 5) if q % p]))
+            lam = F(rng.choice([1, 2, 4]) * p + 1, p**j)
+            high = [F(rng.choice(units), rng.choice(units[:2])) for _ in range(rng.randint(1, 3))]
+            phi = RationalPoly([a, lam, *high]).compose(RationalPoly([-a, 1]))
+            x = a + F(p) ** (j * rng.randint(110, 300)) * F(rng.choice(units), rng.choice(units))
+            max_iter = 256
+            expected, reduced = self._replay_at_twice_the_window(phi, x, p, max_iter)
+            assert reduced >= 100, (phi, x, reduced)
+            verdict = filled_julia_membership(phi, DiscPoint(x, INF, p), max_iter)
+            assert verdict == expected, (phi, x)
+            if isinstance(expected, Escaped):
+                assert verdict.valuation == expected.valuation, (phi, x)
+                assert local_escape_rate(phi, x, p, max_iter).escaped_at == expected.step
+            seen[type(expected)] += 1
+        assert min(seen.values()) >= 8, seen
+
     def test_plan_kept_on_a_warm_map_matches_a_fresh_map(self):
         # One map object answers every (point, max_iter) in a shuffled order,
         # so its orbit plans were made for earlier calls; a fresh object per
@@ -777,9 +837,10 @@ _NOT_A_POLY = "a polynomial must be a RationalPoly, got None"
         (lambda: pushforward(None, _POINT), _NOT_A_POLY),
         (lambda: disc_point_from_json_dict({}), "malformed disc point data, got {}"),
         (lambda: disc_point_from_json_dict(None), "malformed disc point data, got None"),
+        (lambda: verdict_to_json_dict(None), "not a membership verdict, got None"),
     ],
     ids=["seminorm-point", "pushforward-point", "membership-point", "leq-point",
-         "seminorm-poly", "pushforward-poly", "reader-empty", "reader-None"],
+         "seminorm-poly", "pushforward-poly", "reader-empty", "reader-None", "verdict-None"],
 )
 def test_a_point_or_polynomial_of_the_wrong_kind_is_refused(call, message):
     with pytest.raises(PreconditionError) as err:

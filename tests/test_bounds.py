@@ -103,6 +103,12 @@ class TestLcmHelpers:
         with pytest.raises(PreconditionError, match="positive integers"):
             lcm_list([2, True])
 
+    @pytest.mark.parametrize("values", [None, 5])
+    def test_list_form_refuses_a_non_iterable(self, values):
+        with pytest.raises(PreconditionError) as err:
+            lcm_list(values)
+        assert str(err.value) == f"lcm requires an iterable of positive integers, got {values!r}"
+
 
 class TestBoundTable:
     def test_lcm_column(self):

@@ -19,6 +19,7 @@ import padicdyn
 from padicdyn import valuation
 from padicdyn import (
     PolynomialSyntaxError,
+    PreconditionError,
     RationalPoly,
     format_polynomial,
     parse_polynomial,
@@ -150,6 +151,11 @@ class TestParsePolynomial:
             cs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d + 1)]
             poly = RationalPoly(cs)
             assert parse_polynomial(format_polynomial(poly)) == poly
+
+    def test_non_string_text_is_refused(self):
+        with pytest.raises(PreconditionError) as err:
+            parse_polynomial(None)
+        assert str(err.value) == "a polynomial expression must be a string, got None"
 
 
 class TestExitCodes:
