@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .errors import PreconditionError, checked_int, refusing_malformed
 from .polynomial import RationalPoly, _integer_form, checked_poly, map_degree, map_invariant
@@ -281,7 +280,7 @@ class BoundedUpTo:
     max_iter: int
 
 
-MembershipVerdict = Union[Escaped, BoundedCertified, BoundedUpTo]
+MembershipVerdict = Escaped | BoundedCertified | BoundedUpTo
 
 
 def verdict_to_json_dict(verdict: MembershipVerdict) -> dict:
@@ -357,7 +356,11 @@ def filled_julia_membership(
     m >= 1, its naive height passes the growth bound of
     ``_height_growth_bound``.  From there on heights increase strictly, so
     the orbit provably never repeats; the pair is reduced like a disc
-    center and only escape detection continues.
+    center and only escape detection continues.  Past that point, the first
+    p-integral state of a p-integral map ends the orbit with BoundedUpTo:
+    this is the integral trap, and it is exact.  Such a map keeps the state
+    p-integral under every later step and reduction, its v_C <= 0 <= t
+    rules out escape, and no cycle can be certified any more.
     If a disc orbit outruns the window (enormous radii), cycle
     certification is disabled for the remaining steps but escape detection
     stays sound.
@@ -433,8 +436,11 @@ def _type_i_orbit(
     """``filled_julia_membership`` from the type I point ``center``, on the
     lowest-terms pair (a, b) of each orbit point a/b: one Horner pass on
     phi's integer form and one gcd per step, the escape test t < v_C as
-    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key.  Callers
-    check phi, p and max_iter; ``local_escape_rate`` calls it directly."""
+    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key.  Once the
+    orbit is past the growth bound, the integral trap (a p-integral map at
+    a p-integral state) ends it with BoundedUpTo(max_iter), the only verdict
+    its remaining steps could give.  Callers check phi, p and max_iter;
+    ``local_escape_rate`` calls it directly."""
     w, ints = map_invariant(phi, _integer_form)
     lead, rest = ints[-1], ints[-2::-1]
     vn, vd = v_c.numerator, v_c.denominator
@@ -442,6 +448,7 @@ def _type_i_orbit(
     window, size = plan.window, plan.size
     a, b = center.numerator, center.denominator
     certifiable = True
+    integral = False  # phi's p-integrality, looked up once no cycle is possible
     seen: dict[tuple[int, int], int] = {}
     bound = math.inf  # the growth bound, looked up at step 1
 
@@ -458,17 +465,24 @@ def _type_i_orbit(
                 bound = map_invariant(phi, _height_growth_bound) + 1e-9
             if math.log(max(abs(a), b)) > bound:
                 certifiable = False  # the orbit can no longer repeat
+                integral = map_invariant(phi, _LocalInvariants, p).integral
             else:
                 key = (a, b)
                 if key in seen:
                     return BoundedCertified(seen[key], m - seen[key])
                 seen[key] = m
 
-        # A pair stays exact while the orbit can repeat: a reduced one could
-        # give two distinct points the same cycle key.  Past that, it is
-        # reduced only once it grows past p**W, like a disc center.
-        if not certifiable and (abs(a) > size or b > size):
-            a, b = _reduce_pair(a, b, p, window)
+        if not certifiable:
+            # The integral trap: a p-integral map keeps a p-integral point
+            # p-integral, Horner steps and reductions alike, and has
+            # v_C <= 0 <= t, so this orbit can neither escape nor cycle.
+            if integral and b % p:
+                break
+            # A pair stays exact while the orbit can repeat: a reduced one
+            # could give two distinct points the same cycle key.  Past that,
+            # it is reduced only once it grows past p**W, like a disc center.
+            if abs(a) > size or b > size:
+                a, b = _reduce_pair(a, b, p, window)
 
         if m == max_iter:
             break

@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError, checked_int, checked_real
 
@@ -262,6 +262,9 @@ def verify_lcm_exponential_bound(n_max: int) -> bool:
 
 
 def bounds_to_csv(rows: Sequence[BoundRow]) -> str:
+    """CSV rows e,lcm_e,pottmeyer,new_bound,nine_exp of ``bound_table`` rows."""
+    if not isinstance(rows, Sequence) or not all(isinstance(r, BoundRow) for r in rows):
+        raise PreconditionError(f"bounds_to_csv requires a sequence of BoundRow, got {rows!r}")
     lines = ["e,lcm_e,pottmeyer,new_bound,nine_exp"]
     for r in rows:
         lines.append(f"{r.e},{r.lcm_e},{r.pottmeyer!r},{r.new_bound!r},{r.nine_exp!r}")

@@ -546,6 +546,8 @@ def survey(
 
 def survey_to_csv(report: SurveyReport) -> str:
     """CSV rows x,num,den,canonical_height,error_bound,preperiodic."""
+    if not isinstance(report, SurveyReport):
+        raise PreconditionError(f"survey_to_csv requires a SurveyReport, got {report!r}")
     lines = ["x,num,den,canonical_height,error_bound,preperiodic"]
     for rec in report.records:
         lines.append(

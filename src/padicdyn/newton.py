@@ -127,6 +127,8 @@ def root_valuations(polygon: NewtonPolygon) -> tuple[tuple[Fraction, int], ...]:
     Returned as (valuation, multiplicity) pairs sorted by valuation
     ascending; multiplicities sum to the polygon's horizontal span.
     """
+    if not isinstance(polygon, NewtonPolygon):
+        raise PreconditionError(f"root valuations require a NewtonPolygon, got {polygon!r}")
     pairs = [(-seg.slope, seg.length) for seg in polygon.segments]
     pairs.sort()
     return tuple(pairs)

@@ -21,7 +21,6 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import PreconditionError, checked_int
 from .primes import is_prime
@@ -100,7 +99,7 @@ class _PlusInfinity:
 INF = _PlusInfinity()
 
 #: A valuation is either an exact rational or +infinity (the valuation of 0).
-Valuation = Union[Fraction, _PlusInfinity]
+Valuation = Fraction | _PlusInfinity
 
 
 def is_finite(v: Valuation) -> bool:
@@ -108,7 +107,7 @@ def is_finite(v: Valuation) -> bool:
     return not isinstance(v, _PlusInfinity)
 
 
-RationalLike = Union[int, Fraction, str]
+RationalLike = int | Fraction | str
 
 # ASCII digits only: no exponent, decimal point, underscore or whitespace, so
 # a short string cannot stand for a huge number.
@@ -154,11 +153,39 @@ def as_place(place: Place | int) -> Place:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    """Multiplicity of p in the nonzero integer n."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    """Multiplicity of p in the nonzero integer n.
+
+    Most valuations an orbit meets are 0, 1 or 2, so the first two factors
+    of p come off one division at a time and v = 0 costs one ``%``.  From a
+    third factor on, p, p**2, p**4, ... are split off while they divide,
+    then the same powers downwards, so a valuation k costs about 2*log2(k)
+    divisions.
+    """
+    if n % p:
+        return 0
+    n //= p
+    if n % p:
+        return 1
+    n //= p
+    if n % p:
+        return 2
+    powers = []
+    q = p
+    while True:
+        quo, rem = divmod(n, q)
+        if rem:
+            break
+        n = quo
+        powers.append(q)
+        q *= q
+    # The 2**len(powers) - 1 factors are off, and p**(2**len(powers)) does
+    # not divide n, so the rest of v has the bits below len(powers).
+    v = 1 + (1 << len(powers))
+    for i in range(len(powers) - 1, -1, -1):
+        quo, rem = divmod(n, powers[i])
+        if not rem:
+            n = quo
+            v += 1 << i
     return v
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import padicdyn
@@ -35,6 +35,7 @@ from padicdyn import (
     local_escape_rate,
     max_point,
     noncontainment_witness,
+    parse_polynomial,
     pushforward,
     reduce_mod_prime_power,
     seminorm,
@@ -430,6 +431,45 @@ class TestFilledJuliaMembership:
         phi = RationalPoly.monomial(256)
         assert filled_julia_membership(phi, DiscPoint(center, INF, p), 64) == BoundedUpTo(64)
         assert time.monotonic() - started < 0.5
+
+    @pytest.mark.parametrize("text, max_iter", [("7X^256-X", 64), ("7*X^5+X+1", 2048)])
+    def test_integral_orbit_past_its_growth_bound_stops_at_the_trap(self, text, max_iter):
+        # A 7-integral map and point: past the growth bound the orbit can
+        # neither cycle nor escape.  Running out the budget took over 30 s
+        # and 8.6 s on a 2-vCPU Xeon.
+        started = time.monotonic()
+        phi = parse_polynomial(text)
+        assert filled_julia_membership(phi, DiscPoint(F(1, 2), INF, 7), max_iter) == BoundedUpTo(
+            max_iter)
+        assert time.monotonic() - started < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), min_size=3, max_size=6),
+        st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+        st.integers(1, 256),
+    )
+    @example(2, [(-2, 1), (0, 1), (1, 1)], (0, 1), 3)  # 0 -> -2 -> 2 -> 2
+    @example(2, [(-2, 1), (0, 1), (1, 1)], (0, 1), 2)  # the budget ends before 2 recurs
+    @example(3, [(-1, 1), (0, 1), (1, 1)], (0, 1), 256)  # the 2-cycle 0 <-> -1
+    @example(5, [(1, 3), (1, 1), (0, 1), (1, 2)], (1, 7), 256)
+    def test_integral_trap_matches_the_preperiodicity_oracle(self, p, coeffs, x, max_iter):
+        # For a p-integral map and point the orbit never escapes, so the
+        # verdict is the exact orbit's cycle if it closes within the budget,
+        # and BoundedUpTo otherwise, as decided by is_preperiodic.
+        def p_integral(num, den):
+            return F(num, den if den % p else 1)
+
+        phi = RationalPoly([p_integral(*c) for c in coeffs])
+        assume(not phi.is_zero and phi.degree >= 2)
+        xf = p_integral(*x)
+        verdict = filled_julia_membership(phi, DiscPoint(xf, INF, p), max_iter)
+        cert = is_preperiodic(phi, xf)
+        if cert and cert.tail_length + cert.cycle_length <= max_iter:
+            assert verdict == BoundedCertified(cert.tail_length, cert.cycle_length)
+        else:
+            assert verdict == BoundedUpTo(max_iter)
 
     @staticmethod
     def _replay(phi, zeta, max_iter, max_bits=None):

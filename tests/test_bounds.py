@@ -166,6 +166,12 @@ class TestBoundTable:
     def test_csv_matches_per_row_reference(self, e_max, c):
         assert bounds_to_csv(bound_table(e_max, c)) == _reference_csv(e_max, c)
 
+    @pytest.mark.parametrize("rows", [None, "ab", [(1, 1, 1.0, 1.0, 1.0)]])
+    def test_csv_refuses_rows_of_the_wrong_kind(self, rows):
+        with pytest.raises(PreconditionError) as err:
+            bounds_to_csv(rows)
+        assert str(err.value) == f"bounds_to_csv requires a sequence of BoundRow, got {rows!r}"
+
     def test_certificate_survives_optimized_mode(self, monkeypatch):
         # the certificate is an explicit raise, not an assert, so python -O
         # keeps it

@@ -803,6 +803,11 @@ class TestSurvey:
         assert len(lines) == len(rep.records) + 1
         assert any(line.startswith("1/2,1,2,") for line in lines)
 
+    def test_csv_refuses_a_non_report(self):
+        with pytest.raises(PreconditionError) as err:
+            survey_to_csv(None)
+        assert str(err.value) == "survey_to_csv requires a SurveyReport, got None"
+
     def test_rejects_negative_window(self):
         with pytest.raises(PreconditionError):
             survey(P(0, 0, 1), 2, -0.5)

@@ -286,9 +286,10 @@ class TestSerialization:
          "malformed polygon data, got {'vertices': [[0]], 'segments': []}"),
         (lambda: polygon_from_json_dict({"vertices": [[0, "1"], [2, "0"]]}),
          "malformed polygon data, got {'vertices': [[0, '1'], [2, '0']]}"),
+        (lambda: root_valuations(None), "root valuations require a NewtonPolygon, got None"),
     ],
     ids=["np-None", "np-triple", "np-text", "reader-None", "reader-short-vertex",
-         "reader-no-segments"],
+         "reader-no-segments", "roots-None"],
 )
 def test_malformed_points_and_polygon_data_are_refused(call, message):
     with pytest.raises(PreconditionError) as err:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -406,6 +407,51 @@ class TestReduceModPrimePower:
             r = reduce_mod_prime_power(x, p, k)
             # the representative differs from x by something of valuation >= k
             assert val(x - r, p) >= k
+
+
+def _plain_int_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestIntValuation:
+    def test_matches_the_plain_loop(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            p = rng.choice([2, 3, 5, 7, 11, 97, 2**61 - 1])
+            v = rng.choice([0, 1, 2, 3, rng.randint(0, 40), rng.randint(0, 2000)])
+            m = rng.randint(1, 10 ** rng.randint(1, 80))
+            n = rng.choice([1, -1]) * m * p**v
+            assert valuation._int_valuation(n, p) == _plain_int_valuation(n, p), (n, p)
+
+    def test_a_high_power_is_quick(self):
+        # The plain loop takes one big division per factor: about 0.19 s on a
+        # 2-vCPU Xeon with Python 3.11.
+        n = 7**20000 * 3
+        start = time.perf_counter()
+        assert valuation._int_valuation(n, 7) == 20000
+        assert time.perf_counter() - start < 0.05
+
+
+def test_reimporting_the_package_frees_the_old_copy():
+    # A typing.Union alias of a package class sits in typing's cache, which
+    # would keep every earlier imported copy of the package alive.
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "import padicdyn\n"
+        "old = weakref.ref(type(padicdyn.INF))\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'padicdyn']:\n"
+        "    del sys.modules[name]\n"
+        "del padicdyn\n"
+        "importlib.import_module('padicdyn')\n"
+        "gc.collect()\n"
+        "assert old() is None, old()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", script], env=env, timeout=10, check=True)
 
 
 FRACTIONS = st.fractions(
