@@ -10,13 +10,12 @@ val(a - a') >= rho.
 The seminorm of a polynomial at a disc point, the containment partial
 order, the image of a disc under a polynomial map, and membership of a
 point in the filled Julia set (with certified escape / certified cycle /
-iteration-budget verdicts) are all computed exactly.  Long orbits stay
-exact by reducing centers modulo a high power of p whose exponent is
-provisioned, up front, against the worst-case per-step congruence loss;
-every valuation the verdicts depend on is provably unaffected by the
-reduction.  A disc state is a rational center and radius valuation; a
-type I state is the lowest-terms integer pair (a, b) of its point a/b,
-stepped on the map's integer form, with every valuation taken on integers.
+iteration-budget verdicts) are all computed exactly.  A disc state is a
+rational center and radius valuation whose center is reduced once a step,
+mod p**ceil(rho) (any point of a disc is its center) capped at a window
+provisioned against the worst-case per-step congruence loss.  A type I
+state is the lowest-terms integer pair (a, b) of its point a/b, stepped on
+the map's integer form, with every valuation taken on integers.
 """
 
 from __future__ import annotations
@@ -89,14 +88,6 @@ class DiscPoint:
             "rho": "inf" if self.is_type_i else str(self.rho),
             "p": self.p,
         }
-
-
-def _disc_key(center: Fraction, rho: Fraction, p: int) -> tuple[int, ...]:
-    """Integers equal for exactly the equal discs at the prime p: the
-    numerator and denominator of rho and of center mod p**ceil(rho).  A
-    Fraction is in lowest terms, so its pair of integers determines it."""
-    return (rho.numerator, rho.denominator,
-            *_reduce_pair(center.numerator, center.denominator, p, math.ceil(rho)))
 
 
 def _checked_disc(zeta: DiscPoint) -> DiscPoint:
@@ -344,10 +335,12 @@ def filled_julia_membership(
     same disc recurs, certifying a cycle and hence membership.
     BoundedUpTo(n): neither event within the n verified steps.
 
-    Centers are reduced modulo p**W once their numerator or denominator
-    exceeds p**W; W is provisioned so that every valuation compared against
-    the threshold, and every canonical form used for cycle detection, is
-    provably the true one.  W depends only on phi, p, ``max_iter`` and the
+    Each step reduces the center once, modulo p**min(ceil(rho), W).  Below
+    the window W that residue names the disc however its center is
+    written, so it is the cycle key; it becomes the center only when
+    smaller, so a small center such as a fixed point stays as it is.  W is
+    provisioned so that every valuation compared against the threshold is
+    provably the true one; it depends only on phi, p, ``max_iter`` and the
     size of the starting radius, so its plan is computed once and kept on
     the map object; a call that ends at step 0 or 1 pays for little more
     than those steps.  A type I state is the lowest-terms integer pair
@@ -355,8 +348,8 @@ def filled_julia_membership(
     form; it stays exact while the orbit can repeat: until, at some step
     m >= 1, its naive height passes the growth bound of
     ``_height_growth_bound``.  From there on heights increase strictly, so
-    the orbit provably never repeats; the pair is reduced like a disc
-    center and only escape detection continues.  Past that point, the first
+    the orbit provably never repeats; the pair is reduced modulo p**W once
+    it outgrows p**W, and only escape detection continues.  Past that point, the first
     p-integral state of a p-integral map ends the orbit with BoundedUpTo:
     this is the integral trap, and it is exact.  Such a map keeps the state
     p-integral under every later step and reduction, its v_C <= 0 <= t
@@ -376,36 +369,28 @@ def filled_julia_membership(
     if zeta.is_type_i:
         return _type_i_orbit(phi, zeta.center, p, v_c, max_iter)
     plan = map_invariant(phi, _OrbitPlan, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
-    window, size = plan.window, plan.size
-
-    # A center is a number congruent to itself, so it stays as it is until
-    # it grows past p**W; reducing small centers would only enlarge them.
-    def small(x: Fraction) -> Fraction:
-        if abs(x.numerator) <= size and x.denominator <= size:
-            return x
-        return Fraction(*_reduce_pair(x.numerator, x.denominator, p, window))
-
-    center = small(zeta.center)
+    center = zeta.center
     rho = zeta.rho
     certifiable = True
     seen: dict[tuple, int] = {}
 
     for m in range(max_iter + 1):
-        # t = min(val(center), rho), on the center's integers.  A computed
-        # value at or above trust (rho_trust for rho) is only known to be
-        # large; both exceed v_C, so such a value never passes the test and
-        # one that does is the true value.
-        if center.numerator:
-            t = _int_valuation(center.numerator, p) - _int_valuation(center.denominator, p)
-            if rho < t:
-                t = rho
-        else:
-            t = rho
+        # The step's one reduction.  While certifiable, rho < rho_trust <= W,
+        # so (a, b, rho) names the disc: the cycle key.  t = min(val(center),
+        # rho), as a nonzero residue has valuation below ceil(rho), so rho.
+        # A computed value at or above trust (rho_trust for rho) is only
+        # known to be large; both exceed v_C, so such a value never passes
+        # the test and one that does is the true value.
+        num, den = center.numerator, center.denominator
+        a, b = _reduce_pair(num, den, p, min(math.ceil(rho), plan.window))
+        if max(abs(a), b) < max(abs(num), den):
+            center = Fraction(a, b)
+        t = _int_valuation(a, p) - _int_valuation(b, p) if a else rho
         if t < v_c:
             return Escaped(m, Fraction(t))
 
         if certifiable:
-            key = _disc_key(center, rho, p)
+            key = (a, b, rho)
             if key in seen:
                 return BoundedCertified(seen[key], m - seen[key])
             seen[key] = m
@@ -425,7 +410,7 @@ def filled_julia_membership(
         if rho_new >= plan.rho_trust:
             certifiable = False
         rho = rho_new
-        center = small(tay[0])
+        center = tay[0]
 
     return BoundedUpTo(max_iter)
 
@@ -480,7 +465,7 @@ def _type_i_orbit(
                 break
             # A pair stays exact while the orbit can repeat: a reduced one
             # could give two distinct points the same cycle key.  Past that,
-            # it is reduced only once it grows past p**W, like a disc center.
+            # it is reduced only once it grows past p**W.
             if abs(a) > size or b > size:
                 a, b = _reduce_pair(a, b, p, window)
 

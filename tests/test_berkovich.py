@@ -82,6 +82,10 @@ class TestDiscPoint:
         assert DiscPoint(0, 0, 5) != DiscPoint(0, 1, 5)
         assert DiscPoint(0, 0, 5) != DiscPoint(0, 0, 7)
 
+    def test_repr_names_center_radius_and_prime(self):
+        assert repr(DiscPoint(F(1, 2), F(3, 2), 3)) == "DiscPoint(center=1/2, rho=3/2, p=3)"
+        assert repr(DiscPoint(-4, INF, 5)) == "DiscPoint(center=-4, rho=INF, p=5)"
+
     def test_hash_and_lookup_of_a_tiny_disc_are_quick(self):
         # p**ceil(rho) has 4.8 million digits here: neither == nor hash may build it
         script = (
@@ -471,6 +475,51 @@ class TestFilledJuliaMembership:
         else:
             assert verdict == BoundedUpTo(max_iter)
 
+    def test_a_small_fixed_center_stays_as_it_is(self):
+        # 1/2 is fixed with multiplier 3 at p = 3, so the radius valuation
+        # grows by one a step from 3/2.  Every residue of 1/2 mod 3**k is
+        # larger than 1/2, which therefore stays the center; replaced by its
+        # residues, the center grew with the radius and this call ran past
+        # 60 s, against 0.6 s on a 2-vCPU Xeon.
+        started = time.monotonic()
+        y = RationalPoly.identity() - F(1, 2)
+        phi = F(1, 2) + 3 * y + y * y * F(1, 3) + RationalPoly.monomial(256).compose(y)
+        assert filled_julia_membership(phi, DiscPoint(F(1, 2), F(3, 2), 3), 256) == BoundedUpTo(256)
+        assert time.monotonic() - started < 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4)), min_size=3, max_size=5),
+        st.booleans(),
+        st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+        st.integers(1, 4).flatmap(lambda q: st.tuples(st.integers(-6 * q, 12 * q), st.just(q))),
+        st.sampled_from([1, 4, 16, 64]),
+        st.data(),
+    )
+    @example(7, [(0, 1), (0, 1), (1, 1)], True, (2, 1), (1, 1), 16, None)  # the 2-cycle 2 -> 4
+    # A fixed disc whose center 10/9 has a larger residue mod 5**3: a cycle
+    # key taken from the center as written misses the cycle from 10/9 only
+    @example(5, [(-5, 4), (-2, 2), (-5, 3), (-6, 1), (0, 3)], True, (10, 9), (3, 1), 1, None)
+    def test_verdict_does_not_depend_on_how_the_disc_is_written(
+        self, p, coeffs, integral, center, rho, max_iter, data
+    ):
+        # D(c, p**-rho) = D(c + u*p**ceil(rho), p**-rho) for every integer u,
+        # and u up to p**300 makes the second center far larger than its
+        # residue.  The maps are p-integral, or have p in a denominator.
+        cs = [F(n, q if q % p else 1) for n, q in coeffs]
+        if not integral:
+            cs[0] = (cs[0] or F(1)) / p
+        phi = RationalPoly(cs)
+        assume(not phi.is_zero and phi.degree >= 2)
+        c, rho = F(*center), F(*rho)
+        u = data.draw(st.integers(-(p**300), p**300)) if data else p**300 - 1
+        verdict = filled_julia_membership(phi, DiscPoint(c, rho, p), max_iter)
+        other = filled_julia_membership(
+            phi, DiscPoint(c + u * F(p) ** math.ceil(rho), rho, p), max_iter)
+        assert other == verdict
+        assert getattr(other, "valuation", None) == getattr(verdict, "valuation", None)
+
     @staticmethod
     def _replay(phi, zeta, max_iter, max_bits=None):
         """The verdict of an exact orbit replay, or None once a radius
@@ -778,6 +827,22 @@ class TestMaxPoint:
         # and the next step-up probe, rho = 2047, lies beyond the cap
         result = max_point(P(0, F(1, 32), 1), F(0), 2)
         assert result == MaxPointResult(F(1023), None, None, False, 11)
+
+    def test_unconfirmed_snap_is_reported_inexact(self, monkeypatch):
+        # A budget of one step: the floor probe at 0 and the bisection probe
+        # at 1/2 are inconclusive, 1 is bounded, and the snap to 0 is not
+        # confirmed, so the bracket [0, 1] comes back with no snapped value.
+        monkeypatch.setattr("padicdyn.berkovich.MAX_POINT_ITER", 1)
+        phi = parse_polynomial("X^3 - 43/7*X^2 + 186/7*X - 242/7")
+        assert max_point(phi, 2, 7) == MaxPointResult(F(0), F(1), None, False, 4)
+
+    def test_snap_without_an_escape_below_is_reported_inexact(self, monkeypatch):
+        # A budget of two steps: 0 escapes, 1 is bounded and 1/2 is
+        # inconclusive; the snap is 1 itself, but the probe just below it is
+        # inconclusive too, so 1 is an upper end, not rho* exactly.
+        monkeypatch.setattr("padicdyn.berkovich.MAX_POINT_ITER", 2)
+        phi = parse_polynomial("X^3 - 16/5*X^2 - 8/5*X + 24/5")
+        assert max_point(phi, 1, 5) == MaxPointResult(F(0), F(1), F(1), False, 4)
 
     def test_non_preperiodic_center_rejected(self):
         with pytest.raises(PreconditionError):

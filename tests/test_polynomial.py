@@ -47,6 +47,8 @@ class TestRingBasics:
         assert q.degree == 5
         assert q.leading_coefficient == 1
         assert map_degree(q) == 5
+        with pytest.raises(PreconditionError, match="no leading coefficient"):
+            P().leading_coefficient
 
     def test_zero_polynomial_has_no_degree(self):
         assert P().is_zero
@@ -60,6 +62,7 @@ class TestRingBasics:
         assert (a - a).is_zero
         assert (-a).coefficients == (F(-1), F(-1))
         assert (2 * a).coefficients == (F(2), F(2))
+        assert (1 - b).coefficients == (F(2), F(-1))
 
     def test_evaluation(self):
         q = P(5, -2, 0, 1)  # X^3 - 2X + 5

@@ -108,6 +108,8 @@ class TestInfinity:
             F(1) - INF  # minus infinity is not representable
         with pytest.raises(ValueError):
             INF - INF
+        with pytest.raises(ValueError, match="-INF is not a valuation"):
+            -INF
 
     def test_equality_is_identity(self):
         assert INF == INF
@@ -183,6 +185,7 @@ _CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 410
 
 def test_is_prime_and_factorize_against_sympy():
     assert primes._MR_DETERMINISTIC_LIMIT == _PSI13
+    assert not any(is_prime(n) for n in (1, 0, -1, -2, -7))
     rng = random.Random(2017)
     small = [rng.randrange(1, 10**12) for _ in range(400)]
     small += [*_CARMICHAEL, _PSI9]
