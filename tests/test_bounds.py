@@ -8,11 +8,12 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padicdyn
@@ -163,8 +164,52 @@ class TestBoundTable:
             st.integers(-1000, 1000).map(lambda k: 2.0**k),
         ),
     )
+    # At the cap the float columns reach 0.0 in a different order for each C
+    # (at 1e308 at e = 175, 662 and 733), never for C = inf, and log C of the
+    # Fraction is above float range.
+    @example(BOUND_TABLE_E_MAX, 5e-324)
+    @example(BOUND_TABLE_E_MAX, 0.004)
+    @example(BOUND_TABLE_E_MAX, 1.0)
+    @example(BOUND_TABLE_E_MAX, 1e308)
+    @example(BOUND_TABLE_E_MAX, math.inf)
+    @example(BOUND_TABLE_E_MAX, Fraction(10**400, 3))
     def test_csv_matches_per_row_reference(self, e_max, c):
-        assert bounds_to_csv(bound_table(e_max, c)) == _reference_csv(e_max, c)
+        # compared as lists of lines, so a failure names the first row that
+        # differs rather than diffing two texts of up to 17 MB
+        got, want = bounds_to_csv(bound_table(e_max, c)), _reference_csv(e_max, c)
+        assert got.split("\n") == want.split("\n")
+
+    @pytest.mark.parametrize("c", [1.0, 1e308, math.inf])
+    def test_no_exp_after_a_column_s_first_zero(self, monkeypatch, c):
+        rows = bound_table(BOUND_TABLE_E_MAX, c)
+        calls, exp = [], bounds._exp_or_inf
+        monkeypatch.setattr(bounds, "_exp_or_inf", lambda logv: calls.append(logv) or exp(logv))
+        assert bound_table(BOUND_TABLE_E_MAX, c) == rows
+        expected = 0
+        for field in ("pottmeyer", "new_bound", "nine_exp"):
+            last = next((r.e for r in rows if getattr(r, field) == 0.0), BOUND_TABLE_E_MAX)
+            # new_bound takes one exp per distinct lcm(1..e), the others one per row
+            taken = {r.lcm_e for r in rows[:last]} if field == "new_bound" else rows[:last]
+            expected += len(taken)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "lcms",
+        [
+            # equal values held in distinct objects
+            [3**4000, int(str(3**4000)), int(str(3**4000)), 10**30, int("1" + "0" * 30)],
+            # a new value on every row
+            [2**k for k in range(40)],
+            # equal by value, but printed otherwise
+            [1, 1.0, True, 1, 1, 0.0, -0.0, 0, False, 0],
+        ],
+    )
+    def test_csv_reuses_lcm_text_only_for_equal_ints(self, lcms):
+        rows = tuple(bounds.BoundRow(e, v, 0.5, 0.25, 0.0) for e, v in enumerate(lcms, 1))
+        expected = ["e,lcm_e,pottmeyer,new_bound,nine_exp"]
+        expected += [f"{r.e},{r.lcm_e},{r.pottmeyer!r},{r.new_bound!r},{r.nine_exp!r}" for r in rows]
+        assert bounds_to_csv(rows) == "\n".join(expected) + "\n"
+        assert bounds_to_csv(list(rows)) == bounds_to_csv(rows)
 
     @pytest.mark.parametrize("rows", [None, "ab", [(1, 1, 1.0, 1.0, 1.0)]])
     def test_csv_refuses_rows_of_the_wrong_kind(self, rows):
@@ -230,15 +275,18 @@ def _exp_or_inf(logv):
 
 
 def _reference_csv(e_max, c):
-    """bounds_to_csv(bound_table(e_max, c)) with every log taken afresh on every row."""
+    """bounds_to_csv(bound_table(e_max, c)) with lcm(1..e) and every log taken
+    afresh on every row; lcm(1..e) is printed whenever its value changes."""
     lines = ["e,lcm_e,pottmeyer,new_bound,nine_exp"]
-    lcm = 1
+    log_c = math.log(c.numerator) - math.log(c.denominator) if isinstance(c, Fraction) else math.log(c)
+    lcm, text = 1, "1"
     for e in range(1, e_max + 1):
-        lcm = math.lcm(lcm, e)
-        pottmeyer = _exp_or_inf(math.log(c) + 2 * e - (2 * e + 1) * math.log(e))
-        new_bound = _exp_or_inf(math.log(c) - 2 * math.log(lcm))
-        nine_exp = _exp_or_inf(math.log(c) - e * math.log(9))
-        lines.append(f"{e},{lcm},{pottmeyer!r},{new_bound!r},{nine_exp!r}")
+        if (step := math.lcm(lcm, e)) != lcm:
+            lcm, text = step, str(step)
+        pottmeyer = _exp_or_inf(log_c + 2 * e - (2 * e + 1) * math.log(e))
+        new_bound = _exp_or_inf(log_c - 2 * math.log(lcm))
+        nine_exp = _exp_or_inf(log_c - e * math.log(9))
+        lines.append(f"{e},{text},{pottmeyer!r},{new_bound!r},{nine_exp!r}")
     return "\n".join(lines) + "\n"
 
 
