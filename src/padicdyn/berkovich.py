@@ -15,7 +15,8 @@ rational center and radius valuation whose center is reduced once a step,
 mod p**ceil(rho) (any point of a disc is its center) capped at a window
 provisioned against the worst-case per-step congruence loss.  A type I
 state is the lowest-terms integer pair (a, b) of its point a/b, stepped on
-the map's integer form, with every valuation taken on integers.
+the map's integer form (modulo a power of p once its orbit can no longer
+repeat), with every valuation taken on integers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, checked_int, refusing_malformed
-from .polynomial import RationalPoly, _integer_form, checked_poly, map_degree, map_invariant
+from .polynomial import RationalPoly, _image, _integer_form, checked_poly, map_degree, map_invariant
 from .valuation import (
     INF,
     RationalLike,
@@ -307,9 +308,9 @@ class _OrbitPlan:
     L = max(0, -min val(a_i)) + (d-1)*max(0, -v_C) (difference bound for
     phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
     which computed valuations are guaranteed exact after all steps; the
-    extra d*negvc covers comparison slop in the radius update.  Centers are
-    reduced modulo p**window, and ``size`` = p**window.  Callers check the
-    place and degree.
+    extra d*negvc covers comparison slop in the radius update.  Disc
+    centers, and type I states past the growth bound, are reduced modulo
+    p**window.  Callers check the place and degree.
     """
 
     def __init__(self, phi: RationalPoly, p: int, max_iter: int, rho0_mag: int) -> None:
@@ -321,7 +322,6 @@ class _OrbitPlan:
         trust = 64 + 2 * (1 + math.ceil(abs(inv.v_c))) + rho0_mag + d * negvc
         self.rho_trust = trust - d * negvc
         self.window = trust + (max_iter + 1) * loss_per_step
-        self.size = p**self.window
 
 
 def filled_julia_membership(
@@ -348,12 +348,13 @@ def filled_julia_membership(
     form; it stays exact while the orbit can repeat: until, at some step
     m >= 1, its naive height passes the growth bound of
     ``_height_growth_bound``.  From there on heights increase strictly, so
-    the orbit provably never repeats; the pair is reduced modulo p**W once
-    it outgrows p**W, and only escape detection continues.  Past that point, the first
-    p-integral state of a p-integral map ends the orbit with BoundedUpTo:
-    this is the integral trap, and it is exact.  Such a map keeps the state
-    p-integral under every later step and reduction, its v_C <= 0 <= t
-    rules out escape, and no cycle can be certified any more.
+    the orbit provably never repeats; each step runs modulo a power of p
+    that fixes the next state modulo p**W, and only escape detection
+    continues.  Past that point, the first p-integral state of a
+    p-integral map ends the orbit with BoundedUpTo: this is the integral
+    trap, and it is exact.  Such a map keeps the state p-integral under
+    every later step and reduction, its v_C <= 0 <= t rules out escape,
+    and no cycle can be certified any more.
     If a disc orbit outruns the window (enormous radii), cycle
     certification is disabled for the remaining steps but escape detection
     stays sound.
@@ -419,21 +420,20 @@ def _type_i_orbit(
     phi: RationalPoly, center: Fraction, p: int, v_c: Fraction, max_iter: int
 ) -> MembershipVerdict:
     """``filled_julia_membership`` from the type I point ``center``, on the
-    lowest-terms pair (a, b) of each orbit point a/b: one Horner pass on
-    phi's integer form and one gcd per step, the escape test t < v_C as
-    t * den(v_C) < num(v_C), and (a, b) itself as the cycle key.  Once the
-    orbit is past the growth bound, the integral trap (a p-integral map at
-    a p-integral state) ends it with BoundedUpTo(max_iter), the only verdict
-    its remaining steps could give.  Callers check phi, p and max_iter;
-    ``local_escape_rate`` calls it directly."""
-    w, ints = map_invariant(phi, _integer_form)
-    lead, rest = ints[-1], ints[-2::-1]
+    lowest-terms pair (a, b) of each orbit point a/b: one ``_image`` call
+    per step, the escape test t < v_C as t * den(v_C) < num(v_C), and
+    (a, b) itself as the cycle key.  Once the orbit is past the growth
+    bound, the integral trap (a p-integral map at a p-integral state) ends
+    it with BoundedUpTo(max_iter), the only verdict its remaining steps
+    could give; else each state is its residue modulo p**W, so a Horner
+    product has about 2W base-p digits, not d*W.  Callers check phi, p and
+    max_iter; ``local_escape_rate`` calls it directly."""
+    form = map_invariant(phi, _integer_form)
     vn, vd = v_c.numerator, v_c.denominator
-    plan = map_invariant(phi, _OrbitPlan, p, max_iter, 0)
-    window, size = plan.window, plan.size
     a, b = center.numerator, center.denominator
     certifiable = True
     integral = False  # phi's p-integrality, looked up once no cycle is possible
+    mod = 0  # the modulus of each Horner pass: none while the orbit can repeat
     seen: dict[tuple[int, int], int] = {}
     bound = math.inf  # the growth bound, looked up at step 1
 
@@ -451,6 +451,8 @@ def _type_i_orbit(
             if math.log(max(abs(a), b)) > bound:
                 certifiable = False  # the orbit can no longer repeat
                 integral = map_invariant(phi, _LocalInvariants, p).integral
+                window = map_invariant(phi, _OrbitPlan, p, max_iter, 0).window
+                top, d = p ** (window + _int_valuation(form[0], p)), phi.degree
             else:
                 key = (a, b)
                 if key in seen:
@@ -465,21 +467,16 @@ def _type_i_orbit(
                 break
             # A pair stays exact while the orbit can repeat: a reduced one
             # could give two distinct points the same cycle key.  Past that,
-            # it is reduced only once it grows past p**W.
-            if abs(a) > size or b > size:
-                a, b = _reduce_pair(a, b, p, window)
+            # the state is its residue mod p**W, a/b with b = p**e or 1.  Its
+            # image has denominator w * b**d, w = form[0], of valuation
+            # val(w) + d*e, so its numerator mod p**(W + val(w)) * b**d
+            # fixes it mod p**W.
+            a, b = _reduce_pair(a, b, p, window)
+            mod = top * b**d
 
         if m == max_iter:
             break
-
-        # phi(a/b) = (sum A_i a**i b**(d-i)) / (W b**d), in lowest terms.
-        acc, bpow = lead, 1
-        for c in rest:
-            bpow *= b
-            acc = acc * a + c * bpow
-        bpow *= w
-        g = math.gcd(acc, bpow)
-        a, b = acc // g, bpow // g
+        a, b = _image(form, a, b, mod)
 
     return BoundedUpTo(max_iter)
 

@@ -17,12 +17,12 @@ Chebyshev's psi(n) <= n*log(3), which Rosser and Schoenfeld's
 psi(x) < 1.03883*x leaves with room to spare.  The summand is constant on
 each bit-length interval of p, so the sum is advanced and compared one
 interval at a time (303 intervals up to 10**6, against 78,734 prime powers).
-An interval the test does not decide is walked one prime power at a time,
-and wherever that does not decide either, lcm(1..n) <= 3**n is compared on
-big integers, so the answer is exact in every case.  The primes come from a
-mod-210 wheel sieve, which strikes only the odd multiples of the primes from
-11 on; verify_lcm_exponential_bound(10**6) takes about 2.1 ms (Python 3.11,
-2-vCPU Xeon), most of it counting primes per interval.
+That test decides every interval for every n up to LCM_N_MAX, so it is the
+whole certificate: an interval it did not decide would give False.  The
+primes come from a mod-210 wheel sieve, which strikes only the odd
+multiples of the primes from 11 on; verify_lcm_exponential_bound(10**6)
+takes about 2.1 ms (Python 3.11, 2-vCPU Xeon), most of it counting primes
+per interval.
 
 ``bound_table`` recomputes the lcm column's log only at the prime powers
 where lcm(1..e) changes, and its rows are ``BoundRow`` named tuples.  Each
@@ -149,10 +149,10 @@ def bound_table(e_max: int, c: float = 1.0) -> list[BoundRow]:
     log_c = _log_c(c)
     sieve = _sieve(e_max)
     if not _lcm_bound_holds(e_max, sieve):
-        raise AssertionError("lcm(1..e) > 3**e would contradict Rosser-Schoenfeld")
+        raise AssertionError("the lcm(1..e) <= 3**e certificate failed; Rosser-Schoenfeld implies it")
     # e = 1 and each prime power start a run of rows that share one lcm(1..e)
     starts, lcms = [1], [1]
-    for q, p in _prime_powers(e_max, 2, sieve):
+    for q, p in _prime_powers(e_max, sieve):
         starts.append(q)
         lcms.append(lcms[-1] * p)
     runs = list(map(operator.sub, starts[1:] + [e_max + 1], starts))
@@ -214,15 +214,15 @@ def _sieve(n_max: int) -> tuple[bytearray, dict[int, int]]:
 
 
 def _prime_powers(
-    n_max: int, lo: int = 2, sieve: tuple[bytearray, dict[int, int]] | None = None
+    n_max: int, sieve: tuple[bytearray, dict[int, int]] | None = None
 ) -> list[tuple[int, int]]:
-    """(p**k, p) for every prime power lo <= p**k <= n_max, by increasing p**k.
+    """(p**k, p) for every prime power p**k <= n_max, by increasing p**k.
 
     ``sieve`` is ``_sieve(m)`` for some m >= n_max; by default n_max's own.
     """
     is_prime, higher = sieve or _sieve(n_max)
-    primes = itertools.compress(range(lo, n_max + 1), is_prime[lo : n_max + 1])
-    powers = (q for q in higher if lo <= q <= n_max)
+    primes = itertools.compress(range(n_max + 1), is_prime[: n_max + 1])
+    powers = (q for q in higher if q <= n_max)
     return [(n, higher.get(n, n)) for n in sorted(itertools.chain(primes, powers))]
 
 
@@ -243,25 +243,23 @@ def _lcm_bound_holds(n_max: int, sieve: tuple[bytearray, dict[int, int]] | None 
     ``_least_with_bit_length``, so over that interval ``bits`` grows by beta
     per prime plus the summand of each higher prime power in it.  ``bits``
     never decreases and every event of the interval is at least its start
-    lo, so one test of the interval's final sum against lo decides them all.
-    An interval that fails it is walked event by event, and an event the
-    per-event test does not decide is compared exactly on big integers.
+    lo, so one test of the interval's final sum against lo decides them all,
+    and an interval that fails it gives False.  At n_max = LCM_N_MAX every
+    interval passes, and a smaller n_max only cuts its last interval short,
+    which lowers that interval's sum, so no n_max up to LCM_N_MAX gives False.
     """
-    sieve = is_prime, higher = sieve or _sieve(n_max)
+    is_prime, higher = sieve or _sieve(n_max)
     powers = sorted(higher)
     bits, beta, lo, j = 0, _LOG_SCALE + 1, 2, 0
     while lo <= n_max:
         hi = min(_least_with_bit_length(beta + 1), n_max + 1)
-        end = bits + beta * is_prime.count(1, lo, hi)
+        bits += beta * is_prime.count(1, lo, hi)
         while j < len(powers) and powers[j] < hi:
-            end += (higher[powers[j]] ** _LOG_SCALE).bit_length()
+            bits += (higher[powers[j]] ** _LOG_SCALE).bit_length()
             j += 1
-        if _LOG2_3_DEN * end > _LOG2_3_NUM * _LOG_SCALE * lo:
-            for n, p in _prime_powers(hi - 1, lo, sieve):
-                bits += (p**_LOG_SCALE).bit_length()
-                if _LOG2_3_DEN * bits > _LOG2_3_NUM * _LOG_SCALE * n and lcm_range(n) > 3**n:
-                    return False
-        bits, beta, lo = end, beta + 1, hi
+        if _LOG2_3_DEN * bits > _LOG2_3_NUM * _LOG_SCALE * lo:
+            return False
+        beta, lo = beta + 1, hi
     return True
 
 
@@ -271,9 +269,8 @@ def verify_lcm_exponential_bound(n_max: int) -> bool:
     lcm(1..n) changes only when n is a prime power (it gains one factor of
     the prime), so it suffices to compare at those events; between events
     the left side is constant while 3**n grows.  The events are certified
-    by small-integer log bounds one bit-length interval at a time, then one
-    event at a time, and where neither decides, by the exact big-integer
-    comparison.
+    by small-integer log bounds one bit-length interval at a time, a test
+    that decides every interval for every n_max up to LCM_N_MAX.
     """
     checked_int(n_max, _LCM_N_RULE, 1, LCM_N_MAX)
     return _lcm_bound_holds(n_max)

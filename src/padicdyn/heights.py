@@ -11,10 +11,10 @@ once, by ``local_escape_rate`` itself: once the orbit's
 valuation crosses the escape threshold at step m, the local escape rate is
 the exact rational multiple d**-m * (-t_m - val(a_d)/(d-1)) of log p, and
 orbits that stay integral, or visit the same rational twice, contribute an
-exact zero.  The engine reduces points modulo a high power of p chosen so
-that every valuation that matters is provably unaffected, and stops
-tracking the exact orbit once its naive height passes the growth bound,
-past which no repetition is possible.
+exact zero.  The engine tracks the exact orbit until its naive height
+passes the growth bound, past which no repetition is possible, and from
+there on steps residues modulo a power of p chosen so that every valuation
+that matters is provably unaffected.
 
 The archimedean term is certified with outward-rounded fixed-point interval
 arithmetic at one binary precision, sized from the map and the tolerance:
@@ -27,8 +27,9 @@ The radius tests are integer cross-multiplications, and each float the
 tail needs is one correctly rounded integer division.
 
 On top of these: exact preperiodicity decisions (orbit repetition versus a
-certified height-growth bound) and a survey that enumerates all rationals
-of bounded naive height and tabulates their canonical heights.
+certified height-growth bound, on the engine's integer pairs) and a survey
+that enumerates all rationals of bounded naive height and tabulates their
+canonical heights.
 
 What depends on the map alone (per-prime valuation data and tail constants,
 the p-adic orbit plan for each prime, step budget and starting radius size,
@@ -59,7 +60,7 @@ from .berkovich import (
     weil_height,
 )
 from .errors import PreconditionError, checked_int, checked_real
-from .polynomial import RationalPoly, map_degree, map_invariant
+from .polynomial import RationalPoly, _image, _integer_form, map_degree, map_invariant
 from .primes import factorize
 from .valuation import Place, RationalLike, as_fraction, as_place
 
@@ -362,26 +363,28 @@ class PreperiodicityCertificate:
 def is_preperiodic(phi: RationalPoly, x: RationalLike) -> PreperiodicityCertificate:
     """Decide exactly whether x is preperiodic under phi.
 
-    Iterates the exact orbit: a repetition proves preperiodicity; a naive
+    Iterates the exact orbit on lowest-terms pairs, as the type I loop of
+    the orbit engine does: a repetition proves preperiodicity; a naive
     height exceeding the growth bound proves the heights increase strictly
     from then on, so the orbit can never repeat.
     """
     map_degree(phi)
     z = as_fraction(x)
     bound = map_invariant(phi, _height_growth_bound)
-    # Keyed on (numerator, denominator): a Fraction is in lowest terms, and
-    # a pair of ints hashes far faster than a Fraction.
+    form = map_invariant(phi, _integer_form)
+    a, b = z.numerator, z.denominator
     seen: dict[tuple[int, int], int] = {}
     for k in range(_PREPERIODIC_ITERATION_GUARD):
-        key = (z.numerator, z.denominator)
+        key = (a, b)
         if key in seen:
             return PreperiodicityCertificate(
                 True, seen[key], k - seen[key], None, bound
             )
         seen[key] = k
-        if weil_height(z) > bound + 1e-9:  # heights increase strictly from z on
+        # the naive height of a/b; heights increase strictly from a/b on
+        if math.log(max(abs(a), b)) > bound + 1e-9:
             return PreperiodicityCertificate(False, None, None, k, bound)
-        z = phi(z)
+        a, b = _image(form, a, b)
     raise PreconditionError(
         f"preperiodicity undecided within _PREPERIODIC_ITERATION_GUARD = "
         f"{_PREPERIODIC_ITERATION_GUARD} exact orbit steps"

@@ -94,16 +94,9 @@ class RationalPoly:
         """Exact evaluation by Horner's rule on the integer form: at x = m/n,
         sum A_i m**i n**(d-i) over W n**d."""
         xf = as_fraction(x)
-        w, ints = map_invariant(self, _integer_form)
-        if not ints:
+        if not self._coeffs:
             return Fraction(0)
-        m, n = xf.numerator, xf.denominator
-        acc = ints[-1]
-        npow = 1
-        for a in ints[-2::-1]:
-            npow *= n
-            acc = acc * m + a * npow
-        return Fraction(acc, w * npow)
+        return Fraction(*_image(map_invariant(self, _integer_form), xf.numerator, xf.denominator))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPoly):
@@ -307,6 +300,23 @@ def _integer_form(poly: RationalPoly) -> tuple[int, tuple[int, ...]]:
     A_i = W * a_i, so that poly = (sum A_i X**i) / W on plain integers."""
     w = lcm(*(c.denominator for c in poly.coefficients))
     return w, tuple(c.numerator * (w // c.denominator) for c in poly.coefficients)
+
+
+def _image(form: tuple[int, tuple[int, ...]], a: int, b: int, mod: int = 0) -> tuple[int, int]:
+    """P(a/b) as a lowest-terms pair, for the integer form (W, A) of a
+    nonzero P and the lowest-terms pair a/b: sum A_i a**i b**(d-i) over
+    W b**d, by one Horner pass and one gcd.  A positive ``mod`` keeps each
+    partial sum of that numerator modulo ``mod``."""
+    w, ints = form
+    acc, bpow = ints[-1], 1
+    for c in ints[-2::-1]:
+        bpow *= b
+        acc = acc * a + c * bpow
+        if mod:
+            acc %= mod
+    bpow *= w
+    g = gcd(acc, bpow)
+    return acc // g, bpow // g
 
 
 def format_polynomial(poly: RationalPoly) -> str:

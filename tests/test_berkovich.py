@@ -436,6 +436,17 @@ class TestFilledJuliaMembership:
         assert filled_julia_membership(phi, DiscPoint(center, INF, p), 64) == BoundedUpTo(64)
         assert time.monotonic() - started < 0.5
 
+    def test_type_i_orbit_past_its_growth_bound_steps_modulo_the_window(self):
+        # X + X^256/243 at p = 3 from 9: each orbit point is 9 plus terms of
+        # valuation above 500, so it never passes v_C = 1/51, and the orbit
+        # is past its growth bound from step 1.  Evaluating each image
+        # exactly on a W-digit residue and only then reducing it took
+        # 14-34 s on 2-vCPU Xeons.
+        started = time.monotonic()
+        phi = RationalPoly.identity() + RationalPoly.monomial(256, F(1, 243))
+        assert filled_julia_membership(phi, DiscPoint(9, INF, 3), 256) == BoundedUpTo(256)
+        assert time.monotonic() - started < 5
+
     @pytest.mark.parametrize("text, max_iter", [("7X^256-X", 64), ("7*X^5+X+1", 2048)])
     def test_integral_orbit_past_its_growth_bound_stops_at_the_trap(self, text, max_iter):
         # A 7-integral map and point: past the growth bound the orbit can
@@ -587,9 +598,10 @@ class TestFilledJuliaMembership:
         # denominator, from integers and rationals with and without p in the
         # denominator, at budgets up to 256.  Where the exact replay stops
         # early (its points outgrow max_bits), the engine must report no
-        # escape and no cycle at the steps the replay checked.  The reduced
-        # phase is reached when an exact orbit point at or before the verdict
-        # outgrows p**W, the window of the engine's plan.
+        # escape and no cycle at the steps the replay checked.  ``reduced``
+        # counts the cases where an exact orbit point at or before the
+        # verdict outgrows p**W, W the window of the engine's plan, so that
+        # the engine's residues modulo p**W cannot be the exact points.
         rng = random.Random(71)
         decided = {Escaped: 0, BoundedCertified: 0, BoundedUpTo: 0}
         reduced = truncated = 0
@@ -664,22 +676,23 @@ class TestFilledJuliaMembership:
     def _replay_at_twice_the_window(phi, x, p, max_iter):
         """The type I verdict of an orbit replay on Fractions with phi(z) that,
         once the orbit is past phi's growth bound, reduces each point modulo
-        p**(2W), W the window of the engine's plan, and the number of steps
-        it reduced.  Past the bound no point can recur, and 2W digits keep
+        p**(2W), W the window of the engine's plan, the number of steps it
+        reduced, and how many of those gave a point with p in its
+        denominator.  Past the bound no point can recur, and 2W digits keep
         every valuation below W exact for the whole budget, so a window
         provisioned too small shows as a different verdict."""
         v_c = escape_threshold(phi, p)
         bound = is_preperiodic(phi, x).growth_bound + 1e-9
         window = 2 * _OrbitPlan(phi, p, max_iter, 0).window
-        z, seen, reduced, past = x, {}, 0, False
+        z, seen, reduced, with_p, past = x, {}, 0, 0, False
         for m in range(max_iter + 1):
             t = val(z, p)
             if t < v_c:
-                return Escaped(m, t), reduced
+                return Escaped(m, t), reduced, with_p
             past = past or weil_height(z) > bound
             if not past:
                 if z in seen:
-                    return BoundedCertified(seen[z], m - seen[z]), reduced
+                    return BoundedCertified(seen[z], m - seen[z]), reduced, with_p
                 seen[z] = m
             if m == max_iter:
                 break
@@ -687,7 +700,8 @@ class TestFilledJuliaMembership:
             if past:
                 z = reduce_mod_prime_power(z, p, window)
                 reduced += 1
-        return BoundedUpTo(max_iter), reduced
+                with_p += z.denominator % p == 0
+        return BoundedUpTo(max_iter), reduced, with_p
 
     def test_type_i_window_matches_a_replay_at_twice_the_window(self):
         # phi = psi(X - a) with psi(Y) = a + lam*Y + c_2*Y**2 + ... + c_d*Y**d,
@@ -708,7 +722,7 @@ class TestFilledJuliaMembership:
             phi = RationalPoly([a, lam, *high]).compose(RationalPoly([-a, 1]))
             x = a + F(p) ** (j * rng.randint(110, 300)) * F(rng.choice(units), rng.choice(units))
             max_iter = 256
-            expected, reduced = self._replay_at_twice_the_window(phi, x, p, max_iter)
+            expected, reduced, _ = self._replay_at_twice_the_window(phi, x, p, max_iter)
             assert reduced >= 100, (phi, x, reduced)
             verdict = filled_julia_membership(phi, DiscPoint(x, INF, p), max_iter)
             assert verdict == expected, (phi, x)
@@ -717,6 +731,40 @@ class TestFilledJuliaMembership:
                 assert local_escape_rate(phi, x, p, max_iter).escaped_at == expected.step
             seen[type(expected)] += 1
         assert min(seen.values()) >= 8, seen
+
+    def test_type_i_window_holds_at_reduced_states_with_p_in_the_denominator(self):
+        # The family of the test above with a leading coefficient divisible
+        # by p**(2(d - 1)), so v_C <= -2: from a + p**(j*n)*r the orbit
+        # leaves a j digits a step, through reduced states of valuation -1
+        # or less that do not yet escape.  At such a state a/p**e the engine
+        # takes the image's numerator modulo d*e more digits than at a
+        # p-integral one, and must still match the replay at 2W.
+        rng = random.Random(83)
+        seen = {Escaped: 0, BoundedUpTo: 0}
+        with_p_cases = 0
+        for _ in range(30):
+            p = rng.choice([2, 3, 5, 7])
+            j = rng.choice([1, 1, 2])
+            units = [q for q in (1, -1, 2, -2, 3, 4, 5, 6) if q % p]
+            a = F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([q for q in (1, 2, 3, 5) if q % p]))
+            lam = F(rng.choice([1, 2, 4]) * p + 1, p**j)
+            high = [F(rng.choice(units), rng.choice(units[:2])) for _ in range(rng.randint(1, 2))]
+            high[-1] *= p ** (2 * len(high))
+            phi = RationalPoly([a, lam, *high]).compose(RationalPoly([-a, 1]))
+            assert escape_threshold(phi, p) <= -2
+            n = rng.randint(110, 200)  # steps until the orbit reaches valuation 0
+            x = a + F(p) ** (j * n) * F(rng.choice(units), rng.choice(units))
+            max_iter = rng.choice([256, n + 2])
+            expected, reduced, with_p = self._replay_at_twice_the_window(phi, x, p, max_iter)
+            assert reduced >= 100, (phi, x, reduced)
+            verdict = filled_julia_membership(phi, DiscPoint(x, INF, p), max_iter)
+            assert verdict == expected, (phi, x)
+            if isinstance(expected, Escaped):
+                assert verdict.valuation == expected.valuation, (phi, x)
+                assert local_escape_rate(phi, x, p, max_iter).escaped_at == expected.step
+            seen[type(expected)] += 1
+            with_p_cases += with_p > 0
+        assert with_p_cases >= 25 and min(seen.values()) >= 8, (with_p_cases, seen)
 
     def test_plan_kept_on_a_warm_map_matches_a_fresh_map(self):
         # One map object answers every (point, max_iter) in a shuffled order,

@@ -223,7 +223,6 @@ class TestBoundTable:
         script = (
             "from padicdyn import bounds\n"
             "bounds._LOG2_3_NUM = 0\n"
-            "bounds.lcm_range = lambda n: 3**n + 1\n"
             "try:\n"
             "    bounds.bound_table(50)\n"
             "except AssertionError:\n"
@@ -236,7 +235,6 @@ class TestBoundTable:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False raised\n"
         monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: 3**n + 1)
         with pytest.raises(AssertionError, match="Rosser-Schoenfeld"):
             bound_table(50)
 
@@ -321,14 +319,15 @@ class TestSieve:
         assert bounds._sieve(n_max) == _trial_division_sieve(n_max)
 
     @pytest.mark.parametrize(
-        "n_max, lo", [(1, 2), (2, 2), (10, 2), (211, 11), (2000, 1000), (10**4, 9000), (10**6, 999_000)]
+        "n_max, excess", [(1, 2), (2, 2), (10, 2), (211, 11), (2000, 1000), (10**4, 9000), (10**6, 999_000)]
     )
-    def test_prime_powers_against_trial_division(self, n_max, lo):
+    def test_prime_powers_against_trial_division(self, n_max, excess):
+        # from n_max's own sieve, and cut from one excess numbers longer
         flags, higher = _trial_division_sieve(n_max)
-        primes = [(n, n) for n in range(lo, n_max + 1) if flags[n]]
-        expected = sorted(primes + [(q, p) for q, p in higher.items() if q >= lo])
-        assert bounds._prime_powers(n_max, lo) == expected
-        assert bounds._prime_powers(n_max, lo, bounds._sieve(n_max + 210)) == expected
+        primes = [(n, n) for n in range(n_max + 1) if flags[n]]
+        expected = sorted(primes + list(higher.items()))
+        assert bounds._prime_powers(n_max) == expected
+        assert bounds._prime_powers(n_max, bounds._sieve(n_max + excess)) == expected
 
 
 def _exact_lcm_walk(n_max):
@@ -372,16 +371,16 @@ class TestLcmExponentialBound:
             assert (t - 1) ** 16 < 2 ** (beta - 1) <= t**16, beta
 
     def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
-        # the interval test alone decides every event up to 10**5: no
-        # interval is walked event by event and the big-integer fallback is
-        # never called; each event holds on exact integers
+        # the interval test alone decides every event up to LCM_N_MAX,
+        # walking no prime power and building no lcm; each event up to
+        # 10**5 holds on exact integers
         events = bounds._prime_powers(100_000)
         walk = bounds._prime_powers
-        walked, fallback = [], []
+        walked, built = [], []
         monkeypatch.setattr(bounds, "_prime_powers", lambda *a: walked.append(a) or walk(*a))
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
-        assert verify_lcm_exponential_bound(100_000) is True
-        assert walked == [] and fallback == []
+        monkeypatch.setattr(bounds, "lcm_range", lambda n: built.append(n) or 0)
+        assert verify_lcm_exponential_bound(LCM_N_MAX) is True
+        assert walked == [] and built == []
         exact = list(_exact_lcm_walk(100_000))
         assert events == [(n, p) for n, p, _, _ in exact]
         for n, _, lcm_val, three_pow in exact:
@@ -391,18 +390,11 @@ class TestLcmExponentialBound:
     def test_integer_bound_never_certifies_a_false_claim(self, monkeypatch, num, den):
         # with log2(3) > num/den in place of 19/12 the certified claim,
         # lcm(1..n)**den < 2**(num*n), is false at some n <= 3000, so a sound
-        # integer test must hand those events to the fallback
-        fallback = []
+        # integer test must not certify it
+        assert any((lcm_val**den).bit_length() > num * n for n, _, lcm_val, _ in _exact_lcm_walk(3000))
         monkeypatch.setattr(bounds, "_LOG2_3_NUM", num)
         monkeypatch.setattr(bounds, "_LOG2_3_DEN", den)
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: fallback.append(n) or 0)
-        assert verify_lcm_exponential_bound(3000) is True
-        certified = []
-        for n, _, lcm_val, _ in _exact_lcm_walk(3000):
-            if n not in fallback:
-                certified.append(n)
-                assert (lcm_val**den).bit_length() <= num * n, n
-        assert certified and fallback
+        assert verify_lcm_exponential_bound(3000) is False
 
     def test_agrees_with_exact_walk_without_big_integers(self, monkeypatch):
         exact = list(_exact_lcm_walk(100_000))
@@ -415,23 +407,6 @@ class TestLcmExponentialBound:
         rng = random.Random(18)
         for n_max in [*range(1, 2001), *(rng.randint(1, 100_000) for _ in range(200))]:
             assert verify_lcm_exponential_bound(n_max) is (n_max < first_false), n_max
-
-    def test_exact_fallback_decides_when_integer_bound_cannot(self, monkeypatch):
-        calls = []
-
-        def counted_lcm_range(n):
-            calls.append(n)
-            return lcm_range(n)
-
-        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)  # integer test never passes
-        monkeypatch.setattr(bounds, "lcm_range", counted_lcm_range)
-        assert verify_lcm_exponential_bound(2000) is True
-        assert calls == [n for n, _ in bounds._prime_powers(2000)]
-
-    def test_exact_fallback_answer_is_returned(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_LOG2_3_NUM", 0)
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: 3**n + 1)
-        assert verify_lcm_exponential_bound(50) is False
 
     def test_small_prefix_exact(self):
         lcm = 1

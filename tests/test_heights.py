@@ -18,6 +18,7 @@ from padicdyn import (
     DiscPoint,
     Escaped,
     PreconditionError,
+    PreperiodicityCertificate,
     RationalPoly,
     archimedean_escape_rate,
     canonical_height,
@@ -32,7 +33,7 @@ from padicdyn import (
     weil_height,
 )
 from padicdyn import heights
-from padicdyn.berkovich import MEMBERSHIP_MAX_ITER
+from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, _height_growth_bound
 from padicdyn.heights import EPS_FLOOR, SURVEY_N_MAX, LocalContribution
 from padicdyn.polynomial import map_invariant
 
@@ -763,6 +764,45 @@ class TestIsPreperiodic:
         cert = is_preperiodic(P(10**400, 0, 1), F(0))
         assert not cert
         assert cert.escape_step is not None
+
+    @staticmethod
+    def _preperiodic_on_fractions(phi, x):
+        """The certificate of the Fraction orbit z -> sum c_i z**i, each
+        point keyed as a Fraction and its height taken by weil_height: the
+        reference the integer-pair loop of is_preperiodic must match."""
+        bound = _height_growth_bound(phi)
+        z, seen = F(x), {}
+        for k in range(heights._PREPERIODIC_ITERATION_GUARD):
+            if z in seen:
+                return PreperiodicityCertificate(True, seen[z], k - seen[z], None, bound)
+            seen[z] = k
+            if weil_height(z) > bound + 1e-9:
+                return PreperiodicityCertificate(False, None, None, k, bound)
+            z = sum(c * z**i for i, c in enumerate(phi.coefficients))
+        raise AssertionError("undecided within the guard")
+
+    def test_integer_pairs_match_a_fraction_orbit(self):
+        # Random maps of degree 2-4, half of them built so that x -> e -> f
+        # with f = x or e, from points of small height: every field of the
+        # certificate, growth bound included, must be the reference's.
+        rng = random.Random(29)
+        tally = {True: 0, False: 0}
+        for _ in range(400):
+            d = rng.randint(2, 4)
+            cs = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4])) for _ in range(d)]
+            cs.append(F(rng.choice([1, -1, 2, 3]), rng.choice([1, 1, 2, 3])))
+            x = F(rng.randint(-8, 8), rng.randint(1, 4))
+            if rng.random() < 0.5:
+                e = x + rng.choice([-1, 1]) * F(rng.randint(1, 5), rng.randint(1, 3))
+                f = rng.choice([x, e])
+                high = RationalPoly([0, 0] + cs[2:])
+                slope = (e - f - high(x) + high(e)) / (x - e)
+                cs[:2] = [e - high(x) - slope * x, slope]
+            phi = RationalPoly(cs)
+            cert = is_preperiodic(phi, x)
+            assert cert == self._preperiodic_on_fractions(phi, x), (phi, x)
+            tally[cert.preperiodic] += 1
+        assert min(tally.values()) >= 100, tally
 
     def test_agrees_with_zero_height_on_survey_range(self):
         rep = survey(P(-1, 0, 1), 2, math.log(3), eps=1e-8)
