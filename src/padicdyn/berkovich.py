@@ -178,21 +178,30 @@ def pushforward(phi: RationalPoly, zeta: DiscPoint) -> DiscPoint:
 
 
 class _LocalInvariants:
-    """phi's invariants at the prime p: v_C, val(a_d), the least coefficient
-    valuation, the tail constant float(bound_q) * log(p) (the left factor in
+    """phi's invariants at the prime p, built on integers: v_C (the one
+    Fraction), the ints vad = val(a_d) and min_val (the least coefficient
+    valuation), the tail constant bound_q * log(p) (the left factor in
     _tail_bound_p) and p-integrality.  Callers check the place and degree."""
 
     def __init__(self, phi: RationalPoly, p: int) -> None:
         d = phi.degree
-        vals = {i: val(c, p) for i, c in enumerate(phi.coefficients) if c != 0}
-        self.vad = vad = vals[d]
-        low = [(v - vad) / Fraction(d - i) for i, v in vals.items() if i < d]
-        self.v_c = min([-vad / Fraction(d - 1)] + low)
-        self.min_val = min(vals.values())
-        t_floor = self.min_val + d * min(self.v_c, Fraction(0))
-        bound_q = max(Fraction(0), -t_floor) + abs(vad) / Fraction(d - 1)
-        self.tail_const = float(bound_q) * math.log(p)
-        self.integral = all(c.denominator % p for c in phi.coefficients)
+        vals = [
+            (i, _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p))
+            for i, c in enumerate(phi.coefficients)
+            if c
+        ]
+        self.vad = vad = vals[-1][1]
+        # v_C = vn / vd, the least of -vad/(d-1) and (v - vad)/(d-i).
+        vn, vd = -vad, d - 1
+        for i, v in vals[:-1]:
+            if (v - vad) * vd < vn * (d - i):
+                vn, vd = v - vad, d - i
+        self.v_c = Fraction(vn, vd)
+        self.min_val = min(v for _, v in vals)
+        # bound_q = max(0, -t_floor) + |vad|/(d-1), t_floor = min_val + d*min(v_C, 0).
+        neg_t = max(0, d * max(0, -vn) - self.min_val * vd)
+        self.tail_const = (neg_t * (d - 1) + abs(vad) * vd) / (vd * (d - 1)) * math.log(p)
+        self.integral = self.min_val >= 0
 
 
 def escape_threshold(phi: RationalPoly, place) -> Fraction:
@@ -310,16 +319,18 @@ class _OrbitPlan:
     which computed valuations are guaranteed exact after all steps; the
     extra d*negvc covers comparison slop in the radius update.  Disc
     centers, and type I states past the growth bound, are reduced modulo
-    p**window.  Callers check the place and degree.
+    p**window.  ``window`` and ``rho_trust`` are ints, their ceilings taken
+    by floor division on v_C's numerator and denominator.  Callers check
+    the place and degree.
     """
 
     def __init__(self, phi: RationalPoly, p: int, max_iter: int, rho0_mag: int) -> None:
         d = phi.degree
         inv = map_invariant(phi, _LocalInvariants, p)
-        neg = max(0, math.ceil(-inv.min_val))
-        negvc = max(0, math.ceil(-inv.v_c))
-        loss_per_step = neg + (d - 1) * negvc
-        trust = 64 + 2 * (1 + math.ceil(abs(inv.v_c))) + rho0_mag + d * negvc
+        vn, vd = inv.v_c.numerator, inv.v_c.denominator
+        negvc = max(0, -(vn // vd))  # ceil(-v_C)
+        loss_per_step = max(0, -inv.min_val) + (d - 1) * negvc
+        trust = 64 + 2 * (1 - (-abs(vn) // vd)) + rho0_mag + d * negvc  # 1 + ceil(|v_C|)
         self.rho_trust = trust - d * negvc
         self.window = trust + (max_iter + 1) * loss_per_step
 
@@ -567,7 +578,7 @@ def max_point(phi: RationalPoly, a: RationalLike, place) -> MaxPointResult:
         probes += 1
         return filled_julia_membership(phi, DiscPoint(af, rho, p), MAX_POINT_ITER)
 
-    rho_floor = -map_invariant(phi, _LocalInvariants, p).vad / Fraction(d - 1)
+    rho_floor = Fraction(-map_invariant(phi, _LocalInvariants, p).vad, d - 1)
     lo = rho_floor  # rho* >= rho_floor always; raised further by escapes
     lo_escaped = False
     hi: Fraction | None = None

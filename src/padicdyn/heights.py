@@ -148,8 +148,8 @@ def local_escape_rate(
         # q = d**-m * (-t - val(a_d)/(d-1)), as one Fraction.
         t, vad = verdict.valuation, inv.vad
         q = Fraction(
-            -(t.numerator * vad.denominator * (d - 1) + vad.numerator * t.denominator),
-            t.denominator * vad.denominator * (d - 1) * d**verdict.step,
+            -(t.numerator * (d - 1) + vad * t.denominator),
+            t.denominator * (d - 1) * d**verdict.step,
         )
         return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
     if isinstance(verdict, BoundedCertified):

@@ -46,6 +46,7 @@ from padicdyn import (
 from padicdyn.berkovich import (
     MEMBERSHIP_MAX_ITER,
     MEMBERSHIP_RHO_MAX,
+    _LocalInvariants,
     _OrbitPlan,
     _simplest_open,
 )
@@ -333,6 +334,80 @@ class TestEscapeThreshold:
             expected = val(lead, p) + d * val(z, p)
             assert got == expected
             assert got < val(z, p)
+
+
+def _fraction_invariants(phi, p, max_iter, rho0_mag):
+    """phi's invariants at p and its orbit plan, by the Fraction formulas:
+    (v_C, vad, min_val, tail_const, integral, window, rho_trust)."""
+    d = phi.degree
+    vals = {i: val(c, p) for i, c in enumerate(phi.coefficients) if c != 0}
+    vad = vals[d]
+    low = [(v - vad) / F(d - i) for i, v in vals.items() if i < d]
+    v_c = min([-vad / F(d - 1)] + low)
+    min_val = min(vals.values())
+    t_floor = min_val + d * min(v_c, F(0))
+    bound_q = max(F(0), -t_floor) + abs(vad) / F(d - 1)
+    tail_const = float(bound_q) * math.log(p)
+    integral = all(c.denominator % p for c in phi.coefficients)
+    neg = max(0, math.ceil(-min_val))
+    negvc = max(0, math.ceil(-v_c))
+    loss_per_step = neg + (d - 1) * negvc
+    trust = 64 + 2 * (1 + math.ceil(abs(v_c))) + rho0_mag + d * negvc
+    window = trust + (max_iter + 1) * loss_per_step
+    return v_c, vad, min_val, tail_const, integral, window, trust - d * negvc
+
+
+@st.composite
+def _maps_at_a_prime(draw):
+    """(phi, p): degree 2..12, p <= 11, zero coefficients and coefficients
+    +-u * p**e, whose valuations tie in the v_C minimum often."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    d = draw(st.integers(2, 12))
+    coefficient = st.one_of(
+        st.just(F(0)),
+        st.builds(lambda u, e: u * F(p) ** e, st.sampled_from([1, -1, 2, 3, -5]), st.integers(-9, 9)),
+        st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 10**4)),
+    )
+    coeffs = draw(st.lists(coefficient, min_size=d, max_size=d))
+    return RationalPoly(coeffs + [draw(coefficient.filter(bool))]), p
+
+
+class TestLocalInvariants:
+    """The per-(map, place) record is built on integers; the Fraction
+    formulas above are the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=_maps_at_a_prime(),
+        max_iter=st.sampled_from([1, 16, 256, MEMBERSHIP_MAX_ITER]),
+        rho0_mag=st.integers(0, 2 * MEMBERSHIP_RHO_MAX),
+    )
+    # v_C ties: -0/2 against -1/1 and -2/2 (i = 2, 1) at a unit lead
+    @example(case=(P(0, F(1, 9), F(1, 3), 1), 3), max_iter=64, rho0_mag=0)
+    @example(
+        case=(RationalPoly([F(1, 3**5)] + [0] * 100 + [F(3**7)] + [0] * 154 + [F(1, 9)]), 3),
+        max_iter=256,
+        rho0_mag=4,
+    )
+    def test_integer_record_matches_the_fraction_formulas(self, case, max_iter, rho0_mag):
+        phi, p = case
+        inv, plan = _LocalInvariants(phi, p), _OrbitPlan(phi, p, max_iter, rho0_mag)
+        expected = _fraction_invariants(phi, p, max_iter, rho0_mag)
+        got = (inv.v_c, inv.vad, inv.min_val, inv.tail_const, inv.integral, plan.window, plan.rho_trust)
+        assert got == expected
+        assert type(inv.v_c) is F
+        assert type(inv.vad) is int and type(inv.min_val) is int
+
+    def test_worked_quintic(self):
+        quintic = P(F(1, 2), 1, 1, 0, 0, 1)
+        at_2 = _LocalInvariants(quintic, 2)
+        # the certified witness slope of the README erratum
+        assert at_2.v_c == F(-1, 5) and type(at_2.v_c) is F
+        assert (at_2.vad, at_2.min_val, at_2.integral) == (0, -1, False)
+        assert at_2.tail_const == math.log(4)
+        at_3 = _LocalInvariants(quintic, 3)
+        assert (at_3.v_c, at_3.vad, at_3.min_val, at_3.integral) == (0, 0, 0, True)
+        assert at_3.tail_const == 0.0
 
 
 class TestFilledJuliaMembership:
