@@ -10,13 +10,16 @@ val(a - a') >= rho.
 The seminorm of a polynomial at a disc point, the containment partial
 order, the image of a disc under a polynomial map, and membership of a
 point in the filled Julia set (with certified escape / certified cycle /
-iteration-budget verdicts) are all computed exactly.  A disc state is a
-rational center and radius valuation whose center is reduced once a step,
-mod p**ceil(rho) (any point of a disc is its center) capped at a window
-provisioned against the worst-case per-step congruence loss.  A type I
-state is the lowest-terms integer pair (a, b) of its point a/b, stepped on
-the map's integer form (modulo a power of p once its orbit can no longer
-repeat), with every valuation taken on integers.
+iteration-budget verdicts) are all computed exactly.  A disc state is the
+lowest-terms integer pair (num, den) of its center and a rational radius
+valuation rho.  Its center is reduced once a step, mod p**ceil(rho) (any
+point of a disc is its center) capped at a window provisioned against the
+worst-case per-step congruence loss, and each step is one integer Taylor
+shift (``polynomial._taylor_shift``) whose valuations are taken on
+integers; only rho is a Fraction.  A type I state is the lowest-terms
+integer pair (a, b) of its point a/b, stepped on the map's integer form
+(modulo a power of p once its orbit can no longer repeat), with every
+valuation taken on integers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, checked_int, refusing_malformed
-from .polynomial import RationalPoly, _image, _integer_form, checked_poly, map_degree, map_invariant
+from .polynomial import (
+    RationalPoly, _image, _integer_form, _taylor_shift, checked_poly, map_degree, map_invariant
+)
 from .valuation import (
     INF,
     RationalLike,
@@ -123,9 +128,9 @@ def seminorm(zeta: DiscPoint, poly: RationalPoly) -> Valuation:
 def _taylor_min(tay: list[Fraction], start: int, rho: Fraction, p: int) -> Valuation:
     """min of n*rho + val(c_n) over n >= start with c_n != 0, else INF: a
     disc's seminorm from n = 0, its image radius from n = 1.  The membership
-    loop keeps its own copy on purpose: the bench's ``orbits`` gate replays
-    its verdicts through ``pushforward``, so shared code would check the
-    engine against itself."""
+    loop keeps its own copy on integers on purpose: the bench's ``orbits``
+    gate replays its verdicts through ``pushforward``, so shared code would
+    check the engine against itself; the two share only ``_taylor_shift``."""
     return min(
         (n * rho + val(c, p) for n, c in enumerate(tay[start:], start) if c != 0),
         default=INF,
@@ -318,10 +323,10 @@ class _OrbitPlan:
     phi(x) - phi(y) with both valuations >= v_C).  TRUST is the level below
     which computed valuations are guaranteed exact after all steps; the
     extra d*negvc covers comparison slop in the radius update.  Disc
-    centers, and type I states past the growth bound, are reduced modulo
-    p**window.  ``window`` and ``rho_trust`` are ints, their ceilings taken
-    by floor division on v_C's numerator and denominator.  Callers check
-    the place and degree.
+    centers, as integer pairs, and type I states past the growth bound,
+    are reduced modulo p**window.  ``window`` and ``rho_trust`` are ints,
+    their ceilings taken by floor division on v_C's numerator and
+    denominator.  Callers check the place and degree.
     """
 
     def __init__(self, phi: RationalPoly, p: int, max_iter: int, rho0_mag: int) -> None:
@@ -354,14 +359,18 @@ def filled_julia_membership(
     provably the true one; it depends only on phi, p, ``max_iter`` and the
     size of the starting radius, so its plan is computed once and kept on
     the map object; a call that ends at step 0 or 1 pays for little more
-    than those steps.  A type I state is the lowest-terms integer pair
-    (a, b) of its center a/b, stepped by Horner's rule on phi's integer
-    form; it stays exact while the orbit can repeat: until, at some step
-    m >= 1, its naive height passes the growth bound of
-    ``_height_growth_bound``.  From there on heights increase strictly, so
-    the orbit provably never repeats; each step runs modulo a power of p
-    that fixes the next state modulo p**W, and only escape detection
-    continues.  Past that point, the first p-integral state of a
+    than those steps.  A disc state is the lowest-terms pair (num, den) of
+    its center and the Fraction rho.  A step is one ``_taylor_shift`` on
+    phi's integer form (w, A), looked up at the first step: its numerators
+    e_n give val(c_n) = val(e_n) - val(w) - (d - n)*val(den), and the new
+    center e_0 / (w den**d) in lowest terms by one gcd.  A type I state is
+    the lowest-terms integer pair (a, b) of its center a/b, stepped by
+    Horner's rule on phi's integer form; it stays exact while the orbit can
+    repeat: until, at some step m >= 1, its naive height passes the growth
+    bound of ``_height_growth_bound``.  From there on heights increase
+    strictly, so the orbit provably never repeats; each step runs modulo a
+    power of p that fixes the next state modulo p**W, and only escape
+    detection continues.  Past that point, the first p-integral state of a
     p-integral map ends the orbit with BoundedUpTo: this is the integral
     trap, and it is exact.  Such a map keeps the state p-integral under
     every later step and reduction, its v_C <= 0 <= t rules out escape,
@@ -381,8 +390,9 @@ def filled_julia_membership(
     if zeta.is_type_i:
         return _type_i_orbit(phi, zeta.center, p, v_c, max_iter)
     plan = map_invariant(phi, _OrbitPlan, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
-    center = zeta.center
+    num, den = zeta.center.numerator, zeta.center.denominator
     rho = zeta.rho
+    form = None  # phi's integer form, looked up at the first advance
     certifiable = True
     seen: dict[tuple, int] = {}
 
@@ -393,10 +403,9 @@ def filled_julia_membership(
         # A computed value at or above trust (rho_trust for rho) is only
         # known to be large; both exceed v_C, so such a value never passes
         # the test and one that does is the true value.
-        num, den = center.numerator, center.denominator
         a, b = _reduce_pair(num, den, p, min(math.ceil(rho), plan.window))
         if max(abs(a), b) < max(abs(num), den):
-            center = Fraction(a, b)
+            num, den = a, b
         t = _int_valuation(a, p) - _int_valuation(b, p) if a else rho
         if t < v_c:
             return Escaped(m, Fraction(t))
@@ -410,19 +419,24 @@ def filled_julia_membership(
         if m == max_iter:
             break
 
-        # Advance one step: the image radius is min of n*rho + val(c_n), n >= 1.
-        tay = phi.taylor_coefficients(center)
-        rho_new: Valuation = INF
-        for n in range(1, len(tay)):
-            c = tay[n]
-            if c.numerator:
-                term = n * rho + (_int_valuation(c.numerator, p) - _int_valuation(c.denominator, p))
-                if term < rho_new:
-                    rho_new = term
-        if rho_new >= plan.rho_trust:
+        # Advance one step on the shift's numerators e_n, c_n = e_n / (w den**(d-n)):
+        # the image radius is min of n*rho + val(c_n), n >= 1, the center c_0.
+        if form is None:
+            form = map_invariant(phi, _integer_form)
+            w, d = form[0], phi.degree
+            vw = _int_valuation(w, p)
+        e = _taylor_shift(form, num, den)
+        vden = _int_valuation(den, p)
+        rho = min(
+            n * rho + (_int_valuation(e[n], p) - vw - (d - n) * vden)
+            for n in range(1, d + 1)
+            if e[n]  # e_d = A_d != 0
+        )
+        if rho >= plan.rho_trust:
             certifiable = False
-        rho = rho_new
-        center = tay[0]
+        den = w * den**d
+        g = math.gcd(e[0], den)
+        num, den = e[0] // g, den // g
 
     return BoundedUpTo(max_iter)
 

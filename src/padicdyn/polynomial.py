@@ -8,10 +8,11 @@ factorials, and refused above degree MAP_DEGREE_MAX), and the rational fixed
 points of a map (candidate valuations from the Newton polygons of
 phi(X) - X, plus exact verification).
 
-Evaluation and the Taylor shift run on plain integers: the integer form of
-P is W = lcm of the coefficient denominators and A_i = W * a_i, kept on the
-polynomial by ``map_invariant``, and each result is built as one Fraction
-from an integer numerator and denominator.
+Evaluation (``_image``) and the Taylor shift (``_taylor_shift``) run on
+plain integers: the integer form of P is W = lcm of the coefficient
+denominators and A_i = W * a_i, kept on the polynomial by ``map_invariant``,
+and each public result is built as one Fraction from an integer numerator
+and denominator.
 """
 
 from __future__ import annotations
@@ -154,13 +155,10 @@ class RationalPoly:
     def taylor_coefficients(self, a: RationalLike) -> list[Fraction]:
         """Coefficients c_0..c_d with P(X) = sum c_n (X - a)**n.
 
-        Computed by the in-place Taylor shift on integers, d(d+1)/2
-        multiply-adds on one list: at a = m/n, B_j = A_j n**(d-j) are the
-        coefficients of W n**d P(Z/n), shifting them by m gives e_k, and
-        c_k = e_k / (W n**(d-k)).  Exact, and free of the factorial
-        divisions of the derivative formula.  Refuses degree
-        d > MAP_DEGREE_MAX, since every disc seminorm and pushforward runs
-        this O(d**2) kernel.
+        The Fraction form of ``_taylor_shift``: at a = m/n, c_k = e_k /
+        (W n**(d-k)).  Exact, and free of the factorial divisions of the
+        derivative formula.  Refuses degree d > MAP_DEGREE_MAX, since every
+        disc seminorm and pushforward runs this O(d**2) kernel.
         """
         af = as_fraction(a)
         if not self._coeffs:
@@ -170,19 +168,9 @@ class RationalPoly:
             raise PreconditionError(
                 f"Taylor expansion of degree {d} exceeds MAP_DEGREE_MAX = {MAP_DEGREE_MAX}"
             )
-        if not af:
-            return list(self._coeffs)  # the shift by 0
-        w, ints = map_invariant(self, _integer_form)
-        m, n = af.numerator, af.denominator
-        npow = [1] * (d + 1)
-        for k in range(1, d + 1):
-            npow[k] = npow[k - 1] * n
-        b = [a_j * npow[d - j] for j, a_j in enumerate(ints)]
-        for i in range(d):
-            acc = b[d]
-            for j in range(d - 1, i - 1, -1):
-                acc = b[j] = b[j] + m * acc
-        return [Fraction(e, w * npow[d - k]) for k, e in enumerate(b)]
+        form, n = map_invariant(self, _integer_form), af.denominator
+        shifted = _taylor_shift(form, af.numerator, n)
+        return [Fraction(e, form[0] * n ** (d - k)) for k, e in enumerate(shifted)]
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
         """self(inner(X)), by Horner's rule in the polynomial ring.
@@ -317,6 +305,27 @@ def _image(form: tuple[int, tuple[int, ...]], a: int, b: int, mod: int = 0) -> t
     bpow *= w
     g = gcd(acc, bpow)
     return acc // g, bpow // g
+
+
+def _taylor_shift(form: tuple[int, tuple[int, ...]], a: int, b: int) -> list[int]:
+    """Numerators e_0..e_d of the Taylor coefficients of P about a/b, for
+    the integer form (W, A) of a nonzero P and b > 0: c_k = e_k / (W b**(d-k)).
+
+    The in-place Taylor shift, d(d+1)/2 multiply-adds on one list:
+    B_j = A_j b**(d-j) are the coefficients of W b**d P(Z/b), and shifting
+    them by a gives the e_k.  The one kernel behind ``taylor_coefficients``
+    and the disc steps of ``filled_julia_membership``.
+    """
+    e = list(form[1])
+    d, bpow = len(e) - 1, 1
+    for j in range(d - 1, -1, -1):
+        bpow *= b
+        e[j] *= bpow
+    for i in range(d if a else 0):  # the shift by 0 leaves the B_j as they are
+        acc = e[d]
+        for j in range(d - 1, i - 1, -1):
+            acc = e[j] = e[j] + a * acc
+    return e
 
 
 def format_polynomial(poly: RationalPoly) -> str:

@@ -87,12 +87,20 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Return the prime factorization of ``n`` >= 1 as {prime: exponent}.
 
+    Trial division by the primes up to 47 stops at the first p with
+    p*p > n, since what is left is then 1 or a prime; Pollard rho splits
+    whatever the small primes leave.
+
     Raises PreconditionError when the factors are out of Pollard rho's reach
     (more than FACTORIZE_RHO_STEPS steps in all).
     """
     checked_int(n, "factorize expects a positive integer", 1)
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:  # n has no prime factor below p, so it is 1 or a prime
+            if n > 1:
+                factors[n] = 1
+            return dict(sorted(factors.items()))
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p

@@ -372,6 +372,36 @@ def _maps_at_a_prime(draw):
     return RationalPoly(coeffs + [draw(coefficient.filter(bool))]), p
 
 
+def _residue(x, p, k):
+    """The rational congruent to x modulo p**k that reduce_mod_prime_power
+    gives, on Fractions: p**v * (u * w**-1 mod p**(k - v)) for x = p**v * u/w,
+    or 0 when val(x) >= k."""
+    v = val(x, p)
+    if v >= k:
+        return F(0)
+    unit, modulus = x / F(p) ** v, p ** int(k - v)
+    return unit.numerator * pow(unit.denominator, -1, modulus) % modulus * F(p) ** v
+
+
+@st.composite
+def _disc_orbits(draw):
+    """(phi, disc, max_iter): degree 2..6 at p in {2, 3, 5, 7}, half the maps
+    p-integral and half with p or p**2 in denominators; centers with
+    p-power denominators, radius valuations k/q in [-6, 12] with q <= 4."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(2, 6))
+    integral = draw(st.booleans())
+    dens = st.just(1) if integral else st.sampled_from([1, p, p * p])
+    coeffs = draw(st.lists(st.builds(F, st.integers(-9, 9), dens), min_size=d, max_size=d))
+    if not integral:
+        coeffs[0] = (coeffs[0] or F(1)) / draw(st.sampled_from([p, p * p]))
+    coeffs.append(draw(st.builds(F, st.sampled_from([1, -1, 2, 3, p]), dens)))
+    center = draw(st.builds(F, st.integers(-30, 30), st.sampled_from([1, p, p * p, p**3])))
+    q = draw(st.integers(1, 4))
+    rho = F(draw(st.integers(-6 * q, 12 * q)), q)
+    return RationalPoly(coeffs), DiscPoint(center, rho, p), draw(st.sampled_from([1, 4, 16, 64]))
+
+
 class TestLocalInvariants:
     """The per-(map, place) record is built on integers; the Fraction
     formulas above are the reference."""
@@ -667,6 +697,58 @@ class TestFilledJuliaMembership:
             seen[type(expected)] += 1
         assert min(seen.values()) >= 40, seen
         assert skipped <= 40
+
+    @staticmethod
+    def _fraction_disc_replay(phi, zeta, max_iter):
+        """filled_julia_membership from the disc ``zeta``, replayed on
+        Fractions: each image through pushforward, t = min(val(residue),
+        rho) against escape_threshold, and the engine's cycle rule: the
+        center's residue modulo p**min(ceil(rho), W) with rho is the cycle
+        key until a radius valuation reaches rho_trust, and that residue
+        replaces the center only when smaller (W and rho_trust from the
+        map's _OrbitPlan)."""
+        p = zeta.p
+        v_c = escape_threshold(phi, p)
+        plan = _OrbitPlan(phi, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
+        center, rho = zeta.center, zeta.rho
+        certifiable, seen = True, {}
+        for m in range(max_iter + 1):
+            residue = _residue(center, p, min(math.ceil(rho), plan.window))
+            if max(abs(residue.numerator), residue.denominator) < max(
+                    abs(center.numerator), center.denominator):
+                center = residue
+            t = min(val(residue, p), rho)
+            if t < v_c:
+                return Escaped(m, t)
+            if certifiable:
+                if (residue, rho) in seen:
+                    return BoundedCertified(seen[residue, rho], m - seen[residue, rho])
+                seen[residue, rho] = m
+            if m == max_iter:
+                break
+            image = pushforward(phi, DiscPoint(center, rho, p))
+            center, rho = image.center, image.rho
+            certifiable = certifiable and rho < plan.rho_trust
+        return BoundedUpTo(max_iter)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_disc_orbits())
+    # Radius-driven verdicts that val(w) (1/9 and 3/4: 2 and 2) or val(den)
+    # (5/2, -5/2 and 1/3: 1, 1 and 1) decide: an escape at step 14, an
+    # inconclusive orbit, a fixed disc and a 2-cycle of discs
+    @example(case=(P(F(1, 9), 4, -1), DiscPoint(F(1, 3), 12, 3), 16))
+    @example(case=(P(F(3, 4), F(-3, 4), F(1, 2)), DiscPoint(3, F(47, 4), 2), 4))
+    @example(case=(P(8, 1, 2), DiscPoint(F(5, 2), F(1, 4), 2), 16))
+    @example(case=(P(1, -3, 2), DiscPoint(F(-5, 2), F(13, 4), 2), 64))
+    def test_integer_disc_step_matches_a_fraction_replay(self, case):
+        # The engine steps (num, den) by one integer Taylor shift, taking
+        # val(c_n) = val(e_n) - val(w) - (d - n)*val(den); the replay takes
+        # every valuation from pushforward's Fractions.
+        phi, zeta, max_iter = case
+        verdict = filled_julia_membership(phi, zeta, max_iter)
+        expected = self._fraction_disc_replay(phi, zeta, max_iter)
+        assert verdict == expected
+        assert getattr(verdict, "valuation", None) == getattr(expected, "valuation", None)
 
     def test_integer_type_i_orbits_match_exact_replay(self):
         # Random maps of degree 2-5, half p-integral and half with p in a

@@ -330,6 +330,16 @@ class TestSieve:
         assert bounds._prime_powers(n_max, bounds._sieve(n_max + excess)) == expected
 
 
+def _record_interval_work(monkeypatch):
+    """Lists that record each ``_sieve`` call's arguments and each interval
+    start ``_least_with_bit_length`` is asked for, the calls still made."""
+    sieve, start = bounds._sieve, bounds._least_with_bit_length
+    sieved, started = [], []
+    monkeypatch.setattr(bounds, "_sieve", lambda *a: sieved.append(a) or sieve(*a))
+    monkeypatch.setattr(bounds, "_least_with_bit_length", lambda beta: started.append(beta) or start(beta))
+    return sieved, started
+
+
 def _exact_lcm_walk(n_max):
     """(n, p, lcm(1..n), 3**n) at each prime power n = p**k <= n_max, from a
     smallest-prime-factor sieve and running big-integer products."""
@@ -371,16 +381,15 @@ class TestLcmExponentialBound:
             assert (t - 1) ** 16 < 2 ** (beta - 1) <= t**16, beta
 
     def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
-        # the interval test alone decides every event up to LCM_N_MAX,
-        # walking no prime power and building no lcm; each event up to
-        # 10**5 holds on exact integers
+        # the interval test alone decides every event up to LCM_N_MAX: one
+        # sieve, and one start per bit-length interval, the docstring's 303
+        # (summands beta = 17..319, so starts T(18)..T(320)); each event up
+        # to 10**5 holds on exact integers
         events = bounds._prime_powers(100_000)
-        walk = bounds._prime_powers
-        walked, built = [], []
-        monkeypatch.setattr(bounds, "_prime_powers", lambda *a: walked.append(a) or walk(*a))
-        monkeypatch.setattr(bounds, "lcm_range", lambda n: built.append(n) or 0)
+        sieved, started = _record_interval_work(monkeypatch)
         assert verify_lcm_exponential_bound(LCM_N_MAX) is True
-        assert walked == [] and built == []
+        assert sieved == [(LCM_N_MAX,)]
+        assert started == list(range(18, 321)) and len(started) == 303
         exact = list(_exact_lcm_walk(100_000))
         assert events == [(n, p) for n, p, _, _ in exact]
         for n, _, lcm_val, three_pow in exact:
@@ -397,16 +406,18 @@ class TestLcmExponentialBound:
         assert verify_lcm_exponential_bound(3000) is False
 
     def test_agrees_with_exact_walk_without_big_integers(self, monkeypatch):
+        # each call sieves its own n_max once and starts each bit-length
+        # interval at most once, in order: no lcm is ever built
         exact = list(_exact_lcm_walk(100_000))
         first_false = next((n for n, _, lcm, three in exact if lcm > three), math.inf)
-
-        def no_big_integers(n):
-            raise AssertionError(f"exact fallback called at n = {n}")
-
-        monkeypatch.setattr(bounds, "lcm_range", no_big_integers)
+        sieved, started = _record_interval_work(monkeypatch)
         rng = random.Random(18)
         for n_max in [*range(1, 2001), *(rng.randint(1, 100_000) for _ in range(200))]:
+            sieved.clear()
+            started.clear()
             assert verify_lcm_exponential_bound(n_max) is (n_max < first_false), n_max
+            assert sieved == [(n_max,)], n_max
+            assert started == list(range(18, 18 + len(started))), n_max
 
     def test_small_prefix_exact(self):
         lcm = 1

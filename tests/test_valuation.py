@@ -175,6 +175,29 @@ def test_factorize_refuses_factors_out_of_reach():
     assert factorize(2**3 * 999_983 * 1_000_003) == {2: 3, 999_983: 1, 1_000_003: 1}
 
 
+def test_factorize_against_plain_trial_division():
+    # factorize stops dividing once p*p > n; plain trial division by every
+    # prime up to 316 (316**2 > 10**5), with no early stop, must agree
+    limit = 10**5
+    divisors = [q for q in range(2, math.isqrt(limit) + 1) if all(q % r for r in range(2, q))]
+    for n in range(1, limit + 1):
+        expected, rest = {}, n
+        for q in divisors:
+            while rest % q == 0:
+                expected[q] = expected.get(q, 0) + 1
+                rest //= q
+        if rest > 1:
+            expected[rest] = 1
+        got = factorize(n)
+        assert got == expected and list(got) == sorted(got), n
+    # cofactors in (47**2, 53**2], left once the primes up to 47 are divided
+    # out, reach the primality test and Pollard rho: all prime but 53**2
+    for c in range(47**2 + 1, 53**2 + 1):
+        for n in (c * 2**40, c * 1_000_003):
+            assert factorize(n) == sympy.factorint(n), n
+
+
+
 # psi_k: the least strong pseudoprime to the first k prime bases (Sorenson
 # and Webster, Math. Comp. 86 (2017)).  psi_13 is _MR_DETERMINISTIC_LIMIT.
 _PSI9 = 3_825_123_056_546_413_051
