@@ -740,6 +740,14 @@ class TestFilledJuliaMembership:
     @example(case=(P(F(3, 4), F(-3, 4), F(1, 2)), DiscPoint(3, F(47, 4), 2), 4))
     @example(case=(P(8, 1, 2), DiscPoint(F(5, 2), F(1, 4), 2), 16))
     @example(case=(P(1, -3, 2), DiscPoint(F(-5, 2), F(13, 4), 2), 64))
+    # Verdicts that both val(w) and (d - n)*val(den) decide, with w = 2, 2, 9
+    # and 3 and p in the center's denominator: an escape at step 14, an
+    # 8-cycle of discs, an escape at step 1 at p = 3 and a cubic's escape at
+    # step 6; without either term each of them gets another verdict
+    @example(case=(P(-3, F(3, 2), 3), DiscPoint(-16, F(25, 2), 2), 64))
+    @example(case=(P(F(-7, 2), 9, 2), DiscPoint(-12, F(8, 3), 2), 64))
+    @example(case=(P(F(-8, 3), F(1, 9), -1), DiscPoint(F(25, 9), -1, 3), 64))
+    @example(case=(P(0, F(-4, 3), 0, 3), DiscPoint(F(-16, 3), 4, 3), 64))
     def test_integer_disc_step_matches_a_fraction_replay(self, case):
         # The engine steps (num, den) by one integer Taylor shift, taking
         # val(c_n) = val(e_n) - val(w) - (d - n)*val(den); the replay takes

@@ -101,6 +101,23 @@ class TestKnownVerdicts:
         cert2 = check_criterion(P(F(1, 4), 1, 0, 32), Place(2))
         assert cert2.verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "phi, place",
+        [
+            # psi = 2X^3 + X + 1: slopes 0 and 1/2 = val(2)/(3 - 1)
+            (P(1, 2, 0, 2), Place(2)),
+            (P(1, 2, 0, 2), Place(2, 3)),
+            # psi = 4X^5 + X + 1: slopes 0 and 1/2 = val(4)/(5 - 1)
+            (P(1, 2, 0, 0, 0, 4), Place(2)),
+        ],
+    )
+    def test_witness_slope_at_the_threshold_qualifies(self, phi, place):
+        # the gate is sigma >= val(a_d)/(d - 1): a slope equal to it certifies
+        cert = check_criterion(phi, place)
+        assert cert.verdict is Verdict.STRONG_BOGOMOLOV
+        assert cert.witness_slope == val(phi.leading_coefficient, 2) / (phi.degree - 1) == F(1, 2)
+        reverify(cert, phi=phi)
+
     def test_constant_term_must_not_vanish(self):
         with pytest.raises(PreconditionError) as err:
             check_criterion(P(0, 2, 1), Place(3))

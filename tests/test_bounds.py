@@ -302,11 +302,12 @@ def _trial_division_flags():
 
 
 def _trial_division_sieve(n_max):
-    """What bounds._sieve(n_max) should return: prime flags and {p**k: p} for k >= 2."""
-    flags = _trial_division_flags()[: n_max + 1]
+    """What bounds._sieve(n_max) should return: prime flags for the odd numbers
+    1, 3, 5, ... <= n_max (slot i for 2*i + 1) and {p**k: p} for k >= 2."""
+    flags = _trial_division_flags()
     roots = itertools.compress(range(math.isqrt(n_max) + 1), flags)
     higher = {p**k: p for p in roots for k in range(2, n_max.bit_length()) if p**k <= n_max}
-    return flags, higher
+    return flags[1 : n_max + 1 : 2], higher
 
 
 class TestSieve:
@@ -323,7 +324,7 @@ class TestSieve:
     )
     def test_prime_powers_against_trial_division(self, n_max, excess):
         # from n_max's own sieve, and cut from one excess numbers longer
-        flags, higher = _trial_division_sieve(n_max)
+        flags, higher = _trial_division_flags(), _trial_division_sieve(n_max)[1]
         primes = [(n, n) for n in range(n_max + 1) if flags[n]]
         expected = sorted(primes + list(higher.items()))
         assert bounds._prime_powers(n_max) == expected
@@ -361,6 +362,24 @@ def _exact_lcm_walk(n_max):
         three_pow *= 3 ** (n - last_n)
         last_n = n
         yield n, p, lcm_val, three_pow
+
+
+def _interval_sums(n_max):
+    """(lo, hi, bits) for each bit-length interval [lo, hi) of the certificate's
+    walk up to n_max, bits being the sum of (p**16).bit_length() over the prime
+    powers p**k < hi, with the primes taken from trial division."""
+    flags = _trial_division_flags()
+    summands = sorted(
+        (p**k, (p**16).bit_length()) for p in range(2, n_max + 1) if flags[p] for k in range(1, 21) if p**k <= n_max
+    )
+    lo, beta, j, bits = 2, 17, 0, 0
+    while lo <= n_max:
+        hi = min(bounds._least_with_bit_length(beta + 1), n_max + 1)
+        while j < len(summands) and summands[j][0] < hi:
+            bits += summands[j][1]
+            j += 1
+        yield lo, hi, bits
+        beta, lo = beta + 1, hi
 
 
 class TestLcmExponentialBound:
@@ -418,6 +437,25 @@ class TestLcmExponentialBound:
             assert verify_lcm_exponential_bound(n_max) is (n_max < first_false), n_max
             assert sieved == [(n_max,)], n_max
             assert started == list(range(18, 18 + len(started))), n_max
+
+    def test_each_interval_sum_decides_at_its_own_ratio(self, monkeypatch):
+        # With log2(3) replaced by r, the walk up to the end of interval k holds
+        # exactly when bits/(16*lo) <= r on every interval up to k.  Taking r at
+        # interval k's own ratio and just below it makes a prime counted once
+        # too often or too rarely show, such as an odd prime at an interval's
+        # edge (the slot of an odd lo is lo // 2, not (lo + 1) // 2), or 2.
+        worst, checked = Fraction(0), 0
+        for lo, hi, bits in _interval_sums(100_000):
+            ratio = Fraction(bits, 16 * lo)
+            worst = max(worst, ratio)
+            if hi == lo:
+                continue
+            for r in (ratio, ratio - Fraction(1, 16 * lo << 40)):
+                monkeypatch.setattr(bounds, "_LOG2_3_NUM", r.numerator)
+                monkeypatch.setattr(bounds, "_LOG2_3_DEN", r.denominator)
+                assert verify_lcm_exponential_bound(hi - 1) is (worst <= r), (lo, hi, r)
+            checked += 1
+        assert checked > 200
 
     def test_small_prefix_exact(self):
         lcm = 1

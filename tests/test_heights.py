@@ -180,6 +180,38 @@ def test_local_escape_rate_matches_exact_orbit(phi, x, p, max_iter, fix_x):
     assert verdict_to_json_dict(verdict) == {"verdict": "escaped", "step": step}
 
 
+def test_undecided_error_bound_covers_the_exact_rate_at_four_times_the_budget():
+    # A p-adic contribution that no orbit step decides within max_iter = m
+    # claims |g_p(x)| <= error_bound.  The exact orbit run to 4m steps decides
+    # g_p(x) for many such points of maps with p in a denominator.  An escape
+    # comes at step m + 1 or later, at a valuation no lower than the tail
+    # bound's floor, so g_p(x) is at most 1 / (1.01 d) of the bound; at d = 2
+    # the draws reach that (``tight``), so a bound below half of today's fails.
+    rng = random.Random(31)
+    decided = tight = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        d = rng.choice((2, 2, 2, 3))
+        dens = (1, p)
+        cs = [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)]
+        phi = RationalPoly(cs + [F(rng.choice((1, -1, 2, 3)), rng.choice(dens))])
+        x = F(rng.randint(-20, 20), rng.choice(dens))
+        m = rng.randint(1, 3 if d == 2 else 2)
+        contrib = local_escape_rate(phi, x, p, m)
+        if contrib.log_p_multiple is not None:
+            continue
+        assert (contrib.value, contrib.escaped_at) == (0.0, None)
+        step, _, q = exact_orbit_rate(phi, x, p, 4 * m)
+        if q is None:
+            continue
+        assert step is None or step > m, (phi, x, p, m)
+        rate = float(q) * math.log(p)
+        assert abs(rate - contrib.value) <= contrib.error_bound, (phi, x, p, m)
+        decided += 1
+        tight += abs(rate) > 0.49 * contrib.error_bound
+    assert decided >= 150 and tight >= 10, (decided, tight)
+
+
 def test_local_escape_rate_max_iter_cap():
     # the cap holds on the integral trap too, which never runs the orbit;
     # True is refused although it equals 1
