@@ -32,10 +32,12 @@ that enumerates all rationals of bounded naive height and tabulates their
 canonical heights.
 
 What depends on the map alone (per-prime valuation data and tail constants,
-the p-adic orbit plan for each prime, step budget and starting radius size,
-the growth bound, the primes of the coefficient denominators, the
-archimedean escape radius and tail constants, and the interval coefficients
-at each precision) is kept on the map object by
+the p-adic tail bound for each prime and step count, the p-adic orbit plan
+for each prime, step budget and starting radius size, the growth bound, the
+primes of the coefficient denominators, and the archimedean plan for each
+error budget: its step count and precision, the interval coefficients at
+that precision, the escape radius and tail constants, and the result of an
+orbit that stays bounded) is kept on the map object by
 ``polynomial.map_invariant``, so a survey computes it once for all its
 points.  Every call still runs its own checks, and a failed computation is
 never stored.
@@ -151,7 +153,7 @@ def local_escape_rate(
             -(t.numerator * (d - 1) + vad * t.denominator),
             t.denominator * (d - 1) * d**verdict.step,
         )
-        return LocalContribution(float(q) * math.log(p), 0.0, q, verdict.step)
+        return LocalContribution(q.numerator / q.denominator * math.log(p), 0.0, q, verdict.step)
     if isinstance(verdict, BoundedCertified):
         return _EXACT_ZERO
     return LocalContribution(0.0, _tail_bound_p(phi, p, max_iter), None, None)
@@ -160,6 +162,11 @@ def local_escape_rate(
 def _tail_bound_p(phi: RationalPoly, p: int, max_iter: int) -> float:
     """Upper bound for |g_p| given no escape within max_iter steps."""
     escape_threshold(phi, p)  # checks the place and degree
+    return map_invariant(phi, _tail_bound, p, max_iter)
+
+
+def _tail_bound(phi: RationalPoly, p: int, max_iter: int) -> float:
+    """``_tail_bound_p``'s float, kept by ``map_invariant`` per (p, max_iter)."""
     tail_const = map_invariant(phi, _LocalInvariants, p).tail_const
     return tail_const * math.exp(-(max_iter) * math.log(phi.degree)) * 1.01 + 1e-300
 
@@ -172,13 +179,18 @@ def _fraction_upper(x: float) -> Fraction:
     return Fraction(math.nextafter(x, math.inf)) + Fraction(1, 1 << 40)
 
 
-class _ArchInvariants:
-    """phi's archimedean set-up, kept by ``map_invariant``: the escape
-    radius r_esc and its gate, u's ratio s_low/|a_d| (s_low the sum of the
-    |a_i| below the top), log|a_d|, the tail constant kappa and the
-    Lipschitz bound lam that sizes the precision."""
+class _ArchPlan:
+    """phi's archimedean set-up at one error budget, kept by ``map_invariant``
+    per (map, budget), so every point of a survey shares it: the step count
+    and binary precision, the coefficient intervals at that precision, the
+    gate, escape-radius and u numerators already shifted by the precision,
+    log|a_d|/(d-1), and the bounded-orbit result, the same for every point.
+    ``steps`` and ``prec`` are sized from the map and the budget unless given.
+    """
 
-    def __init__(self, phi: RationalPoly) -> None:
+    def __init__(
+        self, phi: RationalPoly, budget: float, steps: int | None = None, prec: int | None = None
+    ) -> None:
         d = phi.degree
         ad = abs(phi.leading_coefficient)
         if float(ad) == 0.0:
@@ -200,20 +212,35 @@ class _ArchInvariants:
         # exactly equal to r_esc (where the outward enclosure can never clear the
         # radius at any precision) from stalling the certificate.
         r_gate = r_esc * Fraction((1 << 20) - 1, 1 << 20)
-        # _arch_attempt tests |z| >= r_gate and |z| > r_esc, and bounds
-        # u = s_low / (|a_d| |z|), on integers: each is a numerator and a
-        # denominator here.
-        self.gate = (r_gate.numerator, r_gate.denominator)
-        self.esc = (r_esc.numerator, r_esc.denominator)
-        self.u_ratio = (s_low.numerator * ad.denominator, s_low.denominator * ad.numerator)
-        # First-crossing magnitude bound and the tail constant.
+        # First-crossing magnitude bound and the tail constant kappa.
         r1 = float((s_low + ad) * r_esc ** d) * 1.01 + 2.0
-        self.log_ad = math.log(float(ad))
-        self.kappa = math.log(r1) + abs(self.log_ad) / (d - 1) + 1.0
-        # Lipschitz bound for phi on |z| <= r_esc, sizing the interval precision.
-        self.lam = float(sum(i * abs(c) for i, c in enumerate(phi.coefficients))) * float(
+        log_ad = math.log(float(ad))
+        kappa = math.log(r1) + abs(log_ad) / (d - 1) + 1.0
+        # Lipschitz bound for phi on |z| <= r_esc, sizing the precision.
+        lam = float(sum(i * abs(c) for i, c in enumerate(phi.coefficients))) * float(
             max(r_esc, 1) ** (d - 1)
         ) + 2.0
+        self.log_d = log_d = math.log(d)
+        if steps is None:
+            steps = max(1, math.ceil(math.log(kappa / budget) / log_d)) + 1
+            prec = 64 + steps * max(1, math.ceil(math.log2(lam + 2)))
+        self.d, self.budget, self.steps, self.prec = d, budget, steps, prec
+        self.coeffs_iv = _coeffs_iv(phi, prec)
+        # _arch_attempt tests |z| >= r_gate and |z| > r_esc, and bounds
+        # u = s_low / (|a_d| |z|), on integers with |z| scaled by 2**prec:
+        # each is a numerator times 2**prec and a denominator here.
+        self.gate = (r_gate.numerator << prec, r_gate.denominator)
+        self.esc = (r_esc.numerator << prec, r_esc.denominator)
+        self.u_ratio = (
+            s_low.numerator * ad.denominator << prec,
+            s_low.denominator * ad.numerator,
+        )
+        self.scale = 1 << prec
+        self.log_ad_share = log_ad / (d - 1)
+        # Certified below the radius for `steps` steps: any later escape
+        # contributes at most d**-steps * kappa.
+        bound = math.exp(-steps * log_d) * kappa * 1.01
+        self.bounded = LocalContribution(0.0, min(bound, budget), None, None)
 
 
 def _coeffs_iv(phi: RationalPoly, prec: int) -> list[tuple[int, int]]:
@@ -237,20 +264,17 @@ def archimedean_escape_rate(
     then 0 up to that budget), or provably escapes, after which the
     logarithmic recursion converges doubly exponentially and the value is
     pinned by a short tail estimate.  The interval precision is sized once
-    from the map's Lipschitz bound and the number of steps; where that
-    attempt cannot certify, the call is refused.
+    per (map, budget) from the map's Lipschitz bound and the number of
+    steps; where that attempt cannot certify, the call is refused.
     """
-    d = map_degree(phi)
+    map_degree(phi)
     checked_real(error_budget, _BUDGET_RULE, EPS_FLOOR / 4)
     xf = as_fraction(x)
     # A map or point beyond double range makes a float conversion or power
-    # below raise OverflowError.
+    # in the plan or the attempt raise OverflowError.
     try:
-        arch = map_invariant(phi, _ArchInvariants)
-        steps = max(1, math.ceil(math.log(arch.kappa / error_budget) / math.log(d))) + 1
-        prec = 64 + steps * max(1, math.ceil(math.log2(arch.lam + 2)))
-        coeffs_iv = map_invariant(phi, _coeffs_iv, prec)
-        result = _arch_attempt(coeffs_iv, xf, error_budget, steps, prec, arch)
+        plan = map_invariant(phi, _ArchPlan, error_budget)
+        result = _arch_attempt(plan, xf)
     except OverflowError as exc:
         raise PreconditionError(
             "the map or the point exceeds double precision range; the escape "
@@ -258,7 +282,7 @@ def archimedean_escape_rate(
         ) from exc
     if result is None:
         raise PreconditionError(
-            f"archimedean certification failed at {prec} bits: the orbit's "
+            f"archimedean certification failed at {plan.prec} bits: the orbit's "
             "enclosure straddles the escape radius, or the float error floor "
             f"of the escape estimate exceeds the tolerance {error_budget:g}"
         )
@@ -272,39 +296,47 @@ def _horner_iv(
     [lo, hi] * 2**-prec: sums are exact, and each product rounds lo down and
     hi up.  The product of [lo, hi] and [xlo, xhi] spans the least and the
     greatest of the four endpoint products; the signs of the endpoints say
-    which two those are."""
+    which two those are, and the signs of x's are tested once per call.
+
+    A monic map's leading interval is [2**prec, 2**prec], and 2**prec * xlo
+    shifted right by prec is xlo itself, with nothing rounded away (as for
+    xhi), so its first step is the exact sum [xlo + c_lo, xhi + c_hi], the
+    same enclosure at every sign of x."""
     coeffs = iter(coeffs_iv)
     lo, hi = next(coeffs)
-    for c_lo, c_hi in coeffs:
-        if xlo >= 0:
-            p_lo, p_hi = lo * (xlo if lo >= 0 else xhi), hi * (xhi if hi >= 0 else xlo)
-        elif xhi <= 0:
-            p_lo, p_hi = hi * (xlo if hi >= 0 else xhi), lo * (xhi if lo >= 0 else xlo)
-        else:
-            p_lo, p_hi = min(lo * xhi, hi * xlo), max(lo * xlo, hi * xhi)
-        lo = (p_lo >> prec) + c_lo
-        hi = c_hi - (-p_hi >> prec)
+    if lo == hi == 1 << prec and len(coeffs_iv) > 1:
+        c_lo, c_hi = next(coeffs)
+        lo, hi = xlo + c_lo, xhi + c_hi
+    if xlo >= 0:
+        for c_lo, c_hi in coeffs:
+            lo, hi = (
+                (lo * (xlo if lo >= 0 else xhi) >> prec) + c_lo,
+                c_hi - (-(hi * (xhi if hi >= 0 else xlo)) >> prec),
+            )
+    elif xhi <= 0:
+        for c_lo, c_hi in coeffs:
+            lo, hi = (
+                (hi * (xlo if hi >= 0 else xhi) >> prec) + c_lo,
+                c_hi - (-(lo * (xhi if lo >= 0 else xlo)) >> prec),
+            )
+    else:
+        for c_lo, c_hi in coeffs:
+            lo, hi = (
+                (min(lo * xhi, hi * xlo) >> prec) + c_lo,
+                c_hi - (-max(lo * xlo, hi * xhi) >> prec),
+            )
     return lo, hi
 
 
-def _arch_attempt(
-    coeffs_iv: list[tuple[int, int]],
-    x: Fraction,
-    budget: float,
-    steps: int,
-    prec: int,
-    arch: _ArchInvariants,
-) -> LocalContribution | None:
+def _arch_attempt(plan: _ArchPlan, x: Fraction) -> LocalContribution | None:
     # The orbit is enclosed in [lo, hi] * 2**-prec with integer endpoints,
     # |z| in [alo, ahi] * 2**-prec, and the tests against r_gate and r_esc
     # are cross-multiplications.
-    d = len(coeffs_iv) - 1
+    coeffs_iv, prec, steps, budget, d = plan.coeffs_iv, plan.prec, plan.steps, plan.budget, plan.d
     num = x.numerator << prec
     lo, hi = num // x.denominator, -(-num // x.denominator)
-    gate_num, gate_den = arch.gate[0] << prec, arch.gate[1]
-    esc_num, esc_den = arch.esc[0] << prec, arch.esc[1]
-    u_num, u_den = arch.u_ratio[0] << prec, arch.u_ratio[1]
-    scale = 1 << prec
+    gate_num, gate_den = plan.gate
+    esc_num, esc_den = plan.esc
     last = steps + 79
     for m in range(last + 1):
         if lo >= 0:
@@ -316,16 +348,17 @@ def _arch_attempt(
         if alo * gate_den >= gate_num:
             # Escaped.  Keep iterating until the tail constant u is small
             # enough that the remaining correction fits the budget.
+            u_num, u_den = plan.u_ratio
             u_up = u_num / (u_den * alo) * 1.02 + 1e-300
-            damp = math.exp(-m * math.log(d))
+            damp = math.exp(-m * plan.log_d)
             if not (u_up * damp * 8.0 > budget and m < last):
-                ylo = math.log(alo / scale)
-                yhi = math.log(ahi / scale)
+                ylo = math.log(alo / plan.scale)
+                yhi = math.log(ahi / plan.scale)
                 slop = 6 * math.ulp(1.0 + abs(yhi))
                 ylo -= slop
                 yhi += slop
                 tail = 4.0 * u_up * damp / d
-                value = damp * ((ylo + yhi) / 2 + arch.log_ad / (d - 1))
+                value = damp * ((ylo + yhi) / 2 + plan.log_ad_share)
                 half_width = damp * (yhi - ylo) / 2
                 err = half_width + tail + 8 * math.ulp(1.0 + abs(value) + abs(yhi))
                 if err > budget:
@@ -334,10 +367,7 @@ def _arch_attempt(
         elif ahi * esc_den > esc_num:
             return None  # the enclosure straddles the escape radius
         elif m >= steps:
-            # Certified below the radius for `steps` steps: any later escape
-            # contributes at most d**-steps * kappa.
-            bound = math.exp(-steps * math.log(d)) * arch.kappa * 1.01
-            return LocalContribution(0.0, min(bound, budget), None, None)
+            return plan.bounded
         lo, hi = _horner_iv(coeffs_iv, lo, hi, prec)
 
 

@@ -55,18 +55,24 @@ MUTANTS = [
         BERKOVICH,
         "if rho >= plan.rho_trust:",
         "if rho > plan.rho_trust:",
-        TIER_1,
-        "survives",
-        "no test has a disc whose radius valuation reaches rho_trust exactly",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_disc_whose_radius_reaches_rho_trust_is_not_certified",
+        ),
+        "killed",
+        "a fixed disc reached at rho_trust exactly, checked by a pushforward replay",
     ),
     Mutant(
         "type-i-growth-bound-0.9",
         BERKOVICH,
         "bound = map_invariant(phi, _height_growth_bound) + 1e-9",
         "bound = map_invariant(phi, _height_growth_bound) * 0.9 + 1e-9",
-        TIER_1,
-        "survives",
-        "no test has a preperiodic point whose orbit passes 0.9 times the growth bound before it repeats",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_cycle_past_nine_tenths_of_the_growth_bound_is_certified",
+        ),
+        "killed",
+        "X**d / n**(d-1) cycles at n, whose naive height passes 0.9 times the growth bound",
     ),
     Mutant(
         "preperiodic-growth-bound-0.9",

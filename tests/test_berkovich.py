@@ -591,6 +591,39 @@ class TestFilledJuliaMembership:
         else:
             assert verdict == BoundedUpTo(max_iter)
 
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    @pytest.mark.parametrize("d, n, x", [(2, 1000, -1000), (2, 10**6, -(10**6)), (4, 7**5, -(7**5)),
+                                         (3, 3**7, 3**7)])
+    def test_cycle_past_nine_tenths_of_the_growth_bound_is_certified(self, p, d, n, x):
+        # X**d / n**(d-1) fixes n, and x maps to n or is n: its growth bound
+        # is log(2 * n**(d-1)) / (d-1), so from step 1 on the orbit's naive
+        # height log n lies between 0.9 times the bound and the bound.  The
+        # exact orbit must stay certifiable there, and its cycle is the one
+        # is_preperiodic finds.
+        phi = RationalPoly.monomial(d, F(1, n ** (d - 1)))
+        cert = is_preperiodic(phi, F(x))
+        assert cert and 0.9 * cert.growth_bound < weil_height(phi(F(x))) < cert.growth_bound
+        verdict = filled_julia_membership(phi, DiscPoint(x, INF, p), 8)
+        assert verdict == BoundedCertified(cert.tail_length, cert.cycle_length)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_disc_whose_radius_reaches_rho_trust_is_not_certified(self, p):
+        # X^4 - X^3 + 1 is 1 - Y^3 + Y^4 about 0 and fixes 1 with multiplier
+        # 1, so by a pushforward replay D(0, rho) maps onto D(1, 3*rho) and
+        # that disc is fixed.  From |rho| = 66 the plan's rho_trust is
+        # 66 + 2*66 = 198, which the radius reaches exactly at step 1: a
+        # computed radius at the cap is only known to be large, so the
+        # recurrence is not certified.  From 65 it stays below the cap (195
+        # against 196) and is.
+        phi = P(1, 0, 0, -1, 1)
+        for rho, verdict in ((66, BoundedUpTo(8)), (65, BoundedCertified(1, 1))):
+            start = DiscPoint(0, rho, p)
+            image = pushforward(phi, start)
+            assert image == DiscPoint(1, 3 * rho, p) and pushforward(phi, image) == image
+            rho_trust = _OrbitPlan(phi, p, 8, 2 * rho).rho_trust
+            assert (image.rho == rho_trust) == (rho == 66) and image.rho <= rho_trust
+            assert filled_julia_membership(phi, start, 8) == verdict
+
     def test_a_small_fixed_center_stays_as_it_is(self):
         # 1/2 is fixed with multiplier 3 at p = 3, so the radius valuation
         # grows by one a step from 3/2.  Every residue of 1/2 mod 3**k is

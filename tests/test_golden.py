@@ -4,16 +4,20 @@ Each case is one pinned output of ``.github/workflows/tests.yml``: the
 worked-quintic survey, a seeded sweep of fresh-map membership calls, a seeded
 sweep of ``max_point`` calls and four bounds tables.  The workflow's
 ``timeout`` for each is a wall-clock assertion here.  An output that changes
-on purpose updates its digest here and in the workflow.
+on purpose updates its digest here and in the workflow.  The call counts of
+the worked-quintic survey, which ``bench/selftest.py`` checks on a traced
+run, are pinned here too.
 """
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from padicdyn import (
     RationalPoly,
     filled_julia_membership,
     max_point,
+    survey,
     verdict_to_json_dict,
 )
 
@@ -124,3 +129,37 @@ def test_max_point_sweep_digest():
         digest.update(json.dumps(max_point(phi, a, p).to_json_dict()).encode())
     assert digest.hexdigest() == "deb07d320fb2b030401946ad0cff7302c6b2fb4f08de0fe97bb71ed8bcd98c7e"
     assert time.perf_counter() - start < 30
+
+
+def test_worked_quintic_survey_call_counts():
+    # Each function is wrapped in every padicdyn module that binds it, as the
+    # bench's layer tracer does, for the one survey call, and then restored.
+    # A change that moves a count moves bench/selftest.py's pin with it.
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "padicdyn"]
+    undo = []
+    for fname in ("escape_threshold", "is_preperiodic", "local_escape_rate", "canonical_height"):
+        original = getattr(padicdyn, fname)
+
+        def counting(*args, _original=original, _name=fname, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    undo.append((module, bound, value))
+                    setattr(module, bound, counting)
+    try:
+        report = survey(RationalPoly([Fraction(1, 2), 1, 1, 0, 0, 1]), 2, math.log(50), 1e-7)
+    finally:
+        for module, bound, value in undo:
+            setattr(module, bound, value)
+    assert len(report.records) == 3095
+    assert counts == {
+        "escape_threshold": 12510,
+        "is_preperiodic": 6190,
+        "local_escape_rate": 6255,
+        "canonical_height": 3095,
+    }
+    assert all(getattr(m, b) is v for m, b, v in undo)

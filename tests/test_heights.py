@@ -35,7 +35,6 @@ from padicdyn import (
 from padicdyn import heights
 from padicdyn.berkovich import MEMBERSHIP_MAX_ITER, _height_growth_bound
 from padicdyn.heights import EPS_FLOOR, SURVEY_N_MAX, LocalContribution
-from padicdyn.polynomial import map_invariant
 
 
 def P(*ascending):
@@ -516,9 +515,7 @@ def test_archimedean_attempt_matches_interval_object_loop_at_low_precision(
     # Few bits make the enclosures wide, so the endpoints show in the escape
     # decisions and the logarithms.
     def attempt():
-        arch = map_invariant(phi, heights._ArchInvariants)
-        coeffs_iv = map_invariant(phi, heights._coeffs_iv, prec)
-        return heights._arch_attempt(coeffs_iv, x, budget, steps, prec, arch)
+        return heights._arch_attempt(heights._ArchPlan(phi, budget, steps, prec), x)
 
     got = _result_or_exception_type(attempt)
     want = _result_or_exception_type(
@@ -527,6 +524,44 @@ def test_archimedean_attempt_matches_interval_object_loop_at_low_precision(
     assert got == want
     if isinstance(want, LocalContribution):
         assert (repr(got.value), repr(got.error_bound)) == (repr(want.value), repr(want.error_bound))
+
+
+def _repr_or_refusal(call):
+    """repr(call()), or the message of the PreconditionError it raised."""
+    try:
+        return repr(call())
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_archimedean_plan_kept_on_a_warm_map_matches_fresh_maps():
+    # One map object answers every (point, budget) in a shuffled order, so
+    # each call after the first at a budget reads the plan an earlier call
+    # made; a fresh object per call makes it anew.  Monic leads take the
+    # exact first Horner step.
+    rng = random.Random(31)
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        lead = F(rng.choice([1, 1, -1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)] + [lead]
+        calls = [
+            (F(rng.randint(-40, 40), rng.randint(1, 12)), budget)
+            for _ in range(4)
+            for budget in (1e-2, 1e-6, 1e-9)
+        ]
+        rng.shuffle(calls)
+        warm = RationalPoly(coeffs)
+        for x, budget in calls:
+            got = _repr_or_refusal(lambda: archimedean_escape_rate(warm, x, budget))
+            want = _repr_or_refusal(lambda: archimedean_escape_rate(RationalPoly(coeffs), x, budget))
+            assert got == want, (coeffs, x, budget)
+    # A plan whose build overflows is refused and never stored, so the next
+    # call builds it again and refuses again.
+    phi = P(10**400, 0, 1)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="exceeds double precision range"):
+            archimedean_escape_rate(phi, F(1), 1e-6)
+        assert not any(key[0] is heights._ArchPlan for key in phi._prepared or {})
 
 
 _endpoint = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
@@ -543,10 +578,22 @@ def _intervals(draw):
     coeffs_iv=st.lists(_intervals(), min_size=1, max_size=6),
     x=_intervals(),
     prec=st.integers(0, 64),
+    monic=st.booleans(),
 )
-def test_horner_enclosure_matches_interval_objects(coeffs_iv, x, prec):
+# A monic leading interval [2**prec, 2**prec], whose first step is an exact
+# sum, at x >= 0, x <= 0 and x straddling 0, at 0 bits too, and alone.
+@example(coeffs_iv=[(-3, 5), (7, 7)], x=(3, 9), prec=0, monic=True)
+@example(coeffs_iv=[(-3, 5), (0, 0), (7, 7)], x=(-9, -3), prec=0, monic=True)
+@example(coeffs_iv=[(-3, 5), (-(2**70), 2**70)], x=(-9, 3), prec=0, monic=True)
+@example(coeffs_iv=[(0, 0), (-5, -1), (1, 2)], x=(2**40, 2**41), prec=40, monic=True)
+@example(coeffs_iv=[(0, 0), (-5, -1), (1, 2)], x=(-(2**41) - 1, -1), prec=40, monic=True)
+@example(coeffs_iv=[(0, 0), (-5, -1), (1, 2)], x=(-(2**41) + 3, 2**40 - 7), prec=40, monic=True)
+@example(coeffs_iv=[(2**64, 2**64)], x=(-5, 5), prec=64, monic=False)
+def test_horner_enclosure_matches_interval_objects(coeffs_iv, x, prec, monic):
     # Every sign pattern of the endpoints, straddling zero included, against
     # the four-product interval multiplication of _RefFixIv.
+    if monic:
+        coeffs_iv = [(1 << prec, 1 << prec), *coeffs_iv]
     ivs = [_RefFixIv(lo, hi, prec) for lo, hi in coeffs_iv]
     acc = ivs[0]
     for c in ivs[1:]:
