@@ -19,7 +19,11 @@ shift (``polynomial._taylor_shift``) whose valuations are taken on
 integers; only rho is a Fraction.  A type I state is the lowest-terms
 integer pair (a, b) of its point a/b, stepped on the map's integer form
 (modulo a power of p once its orbit can no longer repeat), with every
-valuation taken on integers.
+valuation taken on integers.  Once an orbit can no longer be certified to
+cycle (a type I point past its growth bound, a disc radius past the trust
+level), a p-integral state of a p-integral map ends it at once: such a map
+sends the closed unit disc into itself, so the orbit can neither escape nor
+cycle (the integral trap).
 """
 
 from __future__ import annotations
@@ -370,14 +374,16 @@ def filled_julia_membership(
     bound of ``_height_growth_bound``.  From there on heights increase
     strictly, so the orbit provably never repeats; each step runs modulo a
     power of p that fixes the next state modulo p**W, and only escape
-    detection continues.  Past that point, the first p-integral state of a
-    p-integral map ends the orbit with BoundedUpTo: this is the integral
-    trap, and it is exact.  Such a map keeps the state p-integral under
-    every later step and reduction, its v_C <= 0 <= t rules out escape,
-    and no cycle can be certified any more.
-    If a disc orbit outruns the window (enormous radii), cycle
-    certification is disabled for the remaining steps but escape detection
-    stays sound.
+    detection continues.  Once a disc's radius valuation reaches
+    rho_trust (enormous radii), cycle certification is disabled for the
+    remaining steps but escape detection stays sound.
+    The integral trap ends both loops with BoundedUpTo, exactly, at a
+    p-integral state of a p-integral map once no cycle can be certified any
+    more: a type I state past the growth bound, or a disc whose radius
+    valuation is at least rho_trust.  Such a map keeps the center
+    p-integral under every later step and reduction, and a disc's radius
+    valuation, being >= 0, no smaller; so t >= 0 >= v_C rules out escape,
+    and the steps left could only give BoundedUpTo.
     """
     checked_int(max_iter, _MAX_ITER_RULE, 1, MEMBERSHIP_MAX_ITER)
     if not _checked_disc(zeta).is_type_i and abs(zeta.rho) > MEMBERSHIP_RHO_MAX:
@@ -425,6 +431,7 @@ def filled_julia_membership(
             form = map_invariant(phi, _integer_form)
             w, d = form[0], phi.degree
             vw = _int_valuation(w, p)
+            integral = map_invariant(phi, _LocalInvariants, p).integral
         e = _taylor_shift(form, num, den)
         vden = _int_valuation(den, p)
         rho = min(
@@ -432,11 +439,17 @@ def filled_julia_membership(
             for n in range(1, d + 1)
             if e[n]  # e_d = A_d != 0
         )
-        if rho >= plan.rho_trust:
-            certifiable = False
         den = w * den**d
         g = math.gcd(e[0], den)
         num, den = e[0] // g, den // g
+        if rho >= plan.rho_trust:
+            # The integral trap: a p-integral map keeps a p-integral center
+            # p-integral and a radius valuation >= 0 at least as large, so
+            # t >= 0 >= v_C and rho >= rho_trust at every later step: this
+            # orbit can neither escape nor cycle.
+            if integral and den % p:
+                break
+            certifiable = False
 
     return BoundedUpTo(max_iter)
 

@@ -16,7 +16,8 @@ above and is compared with a rational lower bound for n*log2(3); this is
 Chebyshev's psi(n) <= n*log(3), which Rosser and Schoenfeld's
 psi(x) < 1.03883*x leaves with room to spare.  The summand is constant on
 each bit-length interval of p, so the sum is advanced and compared one
-interval at a time (303 intervals up to 10**6, against 78,734 prime powers).
+interval at a time (303 intervals up to 10**6, against 78,734 prime powers),
+their starts read from one table built on first use.
 That test decides every interval for every n up to LCM_N_MAX, so it is the
 whole certificate: an interval it did not decide would give False.  The
 sieve keeps one flag byte per odd number, from the 2*3*5*7 wheel written on
@@ -34,6 +35,7 @@ the column is 0.0 and calls no exp.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -243,6 +245,18 @@ def _least_with_bit_length(beta: int) -> int:
     return root if root**_LOG_SCALE == 1 << (beta - 1) else root + 1
 
 
+@functools.cache
+def _interval_starts() -> tuple[int, ...]:
+    """T(beta) = ``_least_with_bit_length(beta)`` for beta = _LOG_SCALE + 1, ...
+    through the first T(beta) above LCM_N_MAX: the start of every bit-length
+    interval any n_max up to LCM_N_MAX reaches, and the end of its last one.
+    T depends on beta alone, so the table is built once, on first use."""
+    starts = [_least_with_bit_length(_LOG_SCALE + 1)]
+    while starts[-1] <= LCM_N_MAX:
+        starts.append(_least_with_bit_length(_LOG_SCALE + 1 + len(starts)))
+    return tuple(starts)
+
+
 def _lcm_bound_holds(n_max: int, sieve: tuple[bytearray, dict[int, int]] | None = None) -> bool:
     """lcm(1..n) <= 3**n at every prime power n <= n_max, hence for all n <= n_max.
 
@@ -250,19 +264,23 @@ def _lcm_bound_holds(n_max: int, sieve: tuple[bytearray, dict[int, int]] | None 
     powers p**k <= n, exceeds _LOG_SCALE * log2 lcm(1..n); once it is at
     most _LOG_SCALE * n * 19/12 < _LOG_SCALE * n * log2(3), the bound holds.
     The summand is beta for every prime in [T(beta), T(beta + 1)), T being
-    ``_least_with_bit_length``, so over that interval ``bits`` grows by beta
-    per prime plus the summand of each higher prime power in it.  ``bits``
-    never decreases and every event of the interval is at least its start
-    lo, so one test of the interval's final sum against lo decides them all,
-    and an interval that fails it gives False.  At n_max = LCM_N_MAX every
+    ``_least_with_bit_length``, read from the table ``_interval_starts``, so
+    over that interval ``bits`` grows by beta per prime plus the summand of
+    each higher prime power in it.  ``bits`` never decreases and every event
+    of the interval is at least its start lo, so one test of the interval's
+    final sum against lo decides them all, and an interval that fails it
+    gives False.  At n_max = LCM_N_MAX every
     interval passes, and a smaller n_max only cuts its last interval short,
     which lowers that interval's sum, so no n_max up to LCM_N_MAX gives False.
     """
     is_prime, higher = sieve or _sieve(n_max)
     view, powers = memoryview(is_prime), sorted(higher)
-    bits, beta, lo, j = 0, _LOG_SCALE + 1, 2, 0
-    while lo <= n_max:
-        hi = min(_least_with_bit_length(beta + 1), n_max + 1)
+    starts = _interval_starts()
+    bits, j = 0, 0
+    for beta, lo, hi in zip(itertools.count(_LOG_SCALE + 1), starts, starts[1:]):
+        if lo > n_max:
+            break
+        hi = min(hi, n_max + 1)
         # the odd primes in [lo, hi) sit in slots lo // 2 .. hi // 2 - 1, one byte each
         primes = int.from_bytes(view[lo // 2 : hi // 2], "little").bit_count() + (lo <= 2 < hi)
         bits += beta * primes
@@ -271,7 +289,6 @@ def _lcm_bound_holds(n_max: int, sieve: tuple[bytearray, dict[int, int]] | None 
             j += 1
         if _LOG2_3_DEN * bits > _LOG2_3_NUM * _LOG_SCALE * lo:
             return False
-        beta, lo = beta + 1, hi
     return True
 
 

@@ -193,6 +193,43 @@ MUTANTS = [
         ),
         "killed",
     ),
+    # -- the integral trap of the disc loop -----------------------------------
+    Mutant(
+        "disc-trap-ignores-center-denominator",
+        BERKOVICH,
+        "if integral and den % p:",
+        "if integral:",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_disc_with_p_in_its_center_past_rho_trust_escapes_later",
+        ),
+        "killed",
+        "a 3-integral map's disc past rho_trust at center -1/3 escapes at the next step",
+    ),
+    Mutant(
+        "disc-trap-ignores-integrality",
+        BERKOVICH,
+        "if integral and den % p:",
+        "if den % p:",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_non_integral_disc_past_rho_trust_escapes_later",
+        ),
+        "killed",
+        "a map with 1/3 in a coefficient has a disc past rho_trust at center 1 that escapes two steps on",
+    ),
+    Mutant(
+        "disc-trap-one-below-rho-trust",
+        BERKOVICH,
+        "if rho >= plan.rho_trust:",
+        "if rho >= plan.rho_trust - 1:",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_integral_disc_past_rho_trust_stops_at_the_trap",
+        ),
+        "killed",
+        "a fixed disc of radius valuation rho_trust - 2/3 about an integral center is certified",
+    ),
     # -- the p-adic tail bound against the exact-orbit oracle ------------------
     Mutant(
         "tail-bound-below-half",

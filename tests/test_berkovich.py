@@ -43,6 +43,7 @@ from padicdyn import (
     verdict_to_json_dict,
     weil_height,
 )
+from padicdyn import berkovich
 from padicdyn.berkovich import (
     MEMBERSHIP_MAX_ITER,
     MEMBERSHIP_RHO_MAX,
@@ -402,6 +403,28 @@ def _disc_orbits(draw):
     return RationalPoly(coeffs), DiscPoint(center, rho, p), draw(st.sampled_from([1, 4, 16, 64]))
 
 
+@st.composite
+def _trap_cases(draw):
+    """(phi, disc, max_iter): degree 2..5 at p in {2, 3, 5, 7}, half the maps
+    p-integral and half with p in a denominator, leading coefficients
+    1, -1, 2, p or p**2, zero coefficients often (critical points at 0,
+    where a radius grows fast); centers with p-power denominators and radius
+    valuations k/q in [-2, 40] with q <= 3."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(2, 5))
+    integral = draw(st.booleans())
+    dens = st.just(1) if integral else st.sampled_from([1, p, p * p])
+    coefficient = st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), dens))
+    coeffs = draw(st.lists(coefficient, min_size=d, max_size=d))
+    if not integral:
+        coeffs[draw(st.integers(0, d - 1))] += F(1, p)
+    coeffs.append(draw(st.sampled_from([F(1), F(-1), F(2), F(p), F(p * p)])))
+    center = draw(st.builds(F, st.integers(-30, 30), st.sampled_from([1, 1, p, p * p])))
+    q = draw(st.integers(1, 3))
+    rho = F(draw(st.integers(-2 * q, 40 * q)), q)
+    return RationalPoly(coeffs), DiscPoint(center, rho, p), draw(st.sampled_from([1, 8, 64, 128]))
+
+
 class TestLocalInvariants:
     """The per-(map, place) record is built on integers; the Fraction
     formulas above are the reference."""
@@ -623,6 +646,77 @@ class TestFilledJuliaMembership:
             rho_trust = _OrbitPlan(phi, p, 8, 2 * rho).rho_trust
             assert (image.rho == rho_trust) == (rho == 66) and image.rho <= rho_trust
             assert filled_julia_membership(phi, start, 8) == verdict
+
+    # Each map has a critical point c of order 3, so a disc about c of
+    # radius valuation rho maps onto one of radius about 4*rho: past the
+    # rho_trust of 66 + 2*ceil(rho) + 2*ceil(-v_C) from rho = 34 or 35.
+    _INTEGRAL_TRAP = (RationalPoly([0, 1, -4, 6, -4, 1]), DiscPoint(1, 34, 3), 2048)  # X*(X-1)**4
+    _CENTER_WITH_P = (RationalPoly([0, 0, -29, 168, -351, 216, 81]), DiscPoint(F(1, 3), 34, 3), 64)
+    _NOT_INTEGRAL = (RationalPoly([1, 0, 0, 0, F(1, 3), 1]), DiscPoint(0, 35, 3), 64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_trap_cases())
+    @example(case=_INTEGRAL_TRAP)
+    @example(case=_CENTER_WITH_P)
+    @example(case=_NOT_INTEGRAL)
+    # a fixed disc whose radius valuation 400/3 lies in [rho_trust - 1, rho_trust)
+    @example(case=(_INTEGRAL_TRAP[0], DiscPoint(1, F(100, 3), 3), 8))
+    def test_integral_trap_matches_a_fraction_replay(self, case):
+        # The integral trap ends a disc orbit with BoundedUpTo once its radius
+        # reaches rho_trust at a p-integral center of a p-integral map; the
+        # replay runs every step, so a trap that fired too early or on the
+        # wrong orbit shows as an escape or a cycle the verdict missed.
+        phi, zeta, max_iter = case
+        assert filled_julia_membership(phi, zeta, max_iter) == self._fraction_disc_replay(phi, zeta, max_iter)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integral_disc_past_rho_trust_stops_at_the_trap(self, monkeypatch, p):
+        # X*(X-1)**4 is Y**4 + Y**5 about 1 and fixes 0 with multiplier 1, so
+        # D(1, rho) maps onto D(0, 4*rho), which is fixed.  From rho = 34 the
+        # image radius 136 passes rho_trust = 66 + 68 = 134 at the integral
+        # center 0: the orbit ends after one shift.  From 100/3 the image
+        # radius 400/3 stays below it and the fixed disc is certified.
+        phi, _, max_iter = self._INTEGRAL_TRAP
+        shifts, shift = [], berkovich._taylor_shift
+        monkeypatch.setattr(berkovich, "_taylor_shift", lambda *a: shifts.append(1) or shift(*a))
+        for rho, verdict in ((34, BoundedUpTo(max_iter)), (F(100, 3), BoundedCertified(1, 1))):
+            start = DiscPoint(1, rho, p)
+            image = pushforward(phi, start)
+            assert image == DiscPoint(0, 4 * rho, p) and pushforward(phi, image) == image
+            assert (image.rho >= _OrbitPlan(phi, p, max_iter, 2 * math.ceil(rho)).rho_trust) == (rho == 34)
+            shifts.clear()
+            assert filled_julia_membership(phi, start, max_iter) == verdict
+            assert len(shifts) == (1 if rho == 34 else 2)
+            assert self._fraction_disc_replay(phi, start, max_iter) == verdict
+
+    def test_disc_with_p_in_its_center_past_rho_trust_escapes_later(self):
+        # -1/3 + (3X-1)**4 * (X**2 + 4X + 1/3) is 3-integral with v_C = -1
+        # and has a critical point of order 3 at 1/3: D(1/3, 34) maps onto
+        # D(-1/3, 138), past rho_trust = 136 at a center of valuation -1,
+        # and the image of -1/3 has valuation -2.  A trap that ignored the
+        # center's denominator would answer BoundedUpTo.
+        phi, start, max_iter = self._CENTER_WITH_P
+        assert all(c.denominator == 1 for c in phi.coefficients) and escape_threshold(phi, 3) == -1
+        image = pushforward(phi, start)
+        assert image == DiscPoint(F(-1, 3), 138, 3)
+        assert _OrbitPlan(phi, 3, max_iter, 68).rho_trust == 136
+        assert val(phi(image.center), 3) == -2
+        verdict = filled_julia_membership(phi, start, max_iter)
+        assert verdict == Escaped(2) and verdict.valuation == -2
+        assert self._fraction_disc_replay(phi, start, max_iter) == verdict
+
+    def test_non_integral_disc_past_rho_trust_escapes_later(self):
+        # X**5 + X**4/3 + 1 has v_C = -1 at 3: D(0, 35) maps onto D(1, 139),
+        # past rho_trust = 138 at the integral center 1, whose orbit
+        # 1 -> 7/3 -> (valuation -5) escapes.  A trap that ignored whether
+        # the map is 3-integral would answer BoundedUpTo.
+        phi, start, max_iter = self._NOT_INTEGRAL
+        image = pushforward(phi, start)
+        assert image == DiscPoint(1, 139, 3)
+        assert _OrbitPlan(phi, 3, max_iter, 70).rho_trust == 138
+        verdict = filled_julia_membership(phi, start, max_iter)
+        assert verdict == Escaped(3) and verdict.valuation == -5
+        assert self._fraction_disc_replay(phi, start, max_iter) == verdict
 
     def test_a_small_fixed_center_stays_as_it_is(self):
         # 1/2 is fixed with multiplier 3 at p = 3, so the radius valuation

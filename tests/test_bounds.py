@@ -331,14 +331,24 @@ class TestSieve:
         assert bounds._prime_powers(n_max, bounds._sieve(n_max + excess)) == expected
 
 
-def _record_interval_work(monkeypatch):
-    """Lists that record each ``_sieve`` call's arguments and each interval
-    start ``_least_with_bit_length`` is asked for, the calls still made."""
-    sieve, start = bounds._sieve, bounds._least_with_bit_length
-    sieved, started = [], []
+def _record_sieves(monkeypatch):
+    """A list that records each ``_sieve`` call's arguments, the calls still made."""
+    sieve, sieved = bounds._sieve, []
     monkeypatch.setattr(bounds, "_sieve", lambda *a: sieved.append(a) or sieve(*a))
-    monkeypatch.setattr(bounds, "_least_with_bit_length", lambda beta: started.append(beta) or start(beta))
-    return sieved, started
+    return sieved
+
+
+@functools.cache
+def _brute_force_starts():
+    """T(beta), the least p with (p**16).bit_length() >= beta, for beta = 17,
+    18, ... through the first T(beta) above LCM_N_MAX, by a scan over p."""
+    starts, p = [], 2
+    for beta in itertools.count(17):
+        while (p**16).bit_length() < beta:
+            p += 1
+        starts.append(p)
+        if p > LCM_N_MAX:
+            return tuple(starts)
 
 
 def _exact_lcm_walk(n_max):
@@ -401,14 +411,16 @@ class TestLcmExponentialBound:
 
     def test_integer_bound_is_sound_against_exact_walk(self, monkeypatch):
         # the interval test alone decides every event up to LCM_N_MAX: one
-        # sieve, and one start per bit-length interval, the docstring's 303
-        # (summands beta = 17..319, so starts T(18)..T(320)); each event up
-        # to 10**5 holds on exact integers
+        # sieve, and the starts of the docstring's 303 intervals (summands
+        # beta = 17..319, so starts T(17)..T(320)) from one table, which
+        # equals a scan over p; each event up to 10**5 holds on exact integers
         events = bounds._prime_powers(100_000)
-        sieved, started = _record_interval_work(monkeypatch)
+        starts = bounds._interval_starts()
+        assert starts == _brute_force_starts() and len(starts) == 304
+        assert starts[-2] <= LCM_N_MAX < starts[-1]
+        sieved = _record_sieves(monkeypatch)
         assert verify_lcm_exponential_bound(LCM_N_MAX) is True
         assert sieved == [(LCM_N_MAX,)]
-        assert started == list(range(18, 321)) and len(started) == 303
         exact = list(_exact_lcm_walk(100_000))
         assert events == [(n, p) for n, p, _, _ in exact]
         for n, _, lcm_val, three_pow in exact:
@@ -425,18 +437,17 @@ class TestLcmExponentialBound:
         assert verify_lcm_exponential_bound(3000) is False
 
     def test_agrees_with_exact_walk_without_big_integers(self, monkeypatch):
-        # each call sieves its own n_max once and starts each bit-length
-        # interval at most once, in order: no lcm is ever built
+        # each call sieves its own n_max once and reads the interval starts
+        # from the one table, which equals a scan over p: no lcm is ever built
         exact = list(_exact_lcm_walk(100_000))
         first_false = next((n for n, _, lcm, three in exact if lcm > three), math.inf)
-        sieved, started = _record_interval_work(monkeypatch)
+        assert bounds._interval_starts() == _brute_force_starts()
+        sieved = _record_sieves(monkeypatch)
         rng = random.Random(18)
         for n_max in [*range(1, 2001), *(rng.randint(1, 100_000) for _ in range(200))]:
             sieved.clear()
-            started.clear()
             assert verify_lcm_exponential_bound(n_max) is (n_max < first_false), n_max
             assert sieved == [(n_max,)], n_max
-            assert started == list(range(18, 18 + len(started))), n_max
 
     def test_each_interval_sum_decides_at_its_own_ratio(self, monkeypatch):
         # With log2(3) replaced by r, the walk up to the end of interval k holds

@@ -2,8 +2,9 @@
 
 Each case is one pinned output of ``.github/workflows/tests.yml``: the
 worked-quintic survey, a seeded sweep of fresh-map membership calls, a seeded
-sweep of ``max_point`` calls and four bounds tables.  The workflow's
-``timeout`` for each is a wall-clock assertion here.  An output that changes
+sweep of ``max_point`` calls, four bounds tables and the exact stdout of five
+membership calls with a time limit.  The workflow's ``timeout`` for each is a
+wall-clock assertion here.  An output that changes
 on purpose updates its digest here and in the workflow.  The call counts of
 the worked-quintic survey, which ``bench/selftest.py`` checks on a traced
 run, are pinned here too.
@@ -81,6 +82,67 @@ def test_cli_stdout_digest(argv, digest, seconds):
     elapsed = time.perf_counter() - start
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+    assert elapsed < seconds
+
+
+_SMALL_FIXED_CENTER = """
+import json
+from fractions import Fraction
+from padicdyn import DiscPoint, RationalPoly, filled_julia_membership, verdict_to_json_dict
+half = Fraction(1, 2)
+y = RationalPoly.identity() - half
+phi = half + 3 * y + y * y * Fraction(1, 3) + RationalPoly.monomial(256).compose(y)
+verdict = filled_julia_membership(phi, DiscPoint(half, Fraction(3, 2), 3), 256)
+print(json.dumps(verdict_to_json_dict(verdict)))
+"""
+
+
+def _member(*argv):
+    return ["-m", "padicdyn", "member", *argv]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, seconds",
+    [
+        (
+            _member("7X^256-X", "--prime", "7", "--center", "1/2", "--rho", "inf", "--max-iter", "64"),
+            '{"verdict": "bounded_up_to", "max_iter": 64}',
+            5,
+        ),
+        (
+            _member("7*X^5+X+1", "--prime", "7", "--center", "1/2", "--rho", "inf", "--max-iter", "2048"),
+            '{"verdict": "bounded_up_to", "max_iter": 2048}',
+            5,
+        ),
+        (
+            _member("1/243*X^256+X", "--prime", "3", "--center", "9", "--rho", "inf"),
+            '{"verdict": "bounded_up_to", "max_iter": 256}',
+            5,
+        ),
+        (["-c", _SMALL_FIXED_CENTER], '{"verdict": "bounded_up_to", "max_iter": 256}', 5),
+        (
+            _member("X^256+1", "--prime", "3", "--center", "60/59", "--rho", "3/7", "--max-iter", "2048"),
+            '{"verdict": "bounded_up_to", "max_iter": 2048}',
+            5,
+        ),
+    ],
+    ids=[
+        "integral-type-i-degree-256",
+        "integral-type-i-budget-2048",
+        "type-i-degree-256-reduced",
+        "disc-small-fixed-center",
+        "integral-disc-past-rho-trust",
+    ],
+)
+def test_membership_answers_in_time(argv, stdout, seconds):
+    # the CI workflow's membership time limits: exact stdout from a fresh
+    # interpreter with warnings as errors, the time including its start
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, env=env, timeout=seconds)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == stdout + "\n"
     assert elapsed < seconds
 
 
