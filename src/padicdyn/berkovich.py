@@ -190,23 +190,26 @@ class _LocalInvariants:
     """phi's invariants at the prime p, built on integers: v_C (the one
     Fraction), the ints vad = val(a_d) and min_val (the least coefficient
     valuation), the tail constant bound_q * log(p) (the left factor in
-    _tail_bound_p) and p-integrality.  Callers check the place and degree."""
+    _tail_bound_p) and p-integrality.  One pass over the coefficients below
+    a_d takes v_C and min_val together, skipping a zero by its numerator.
+    Callers check the place and degree."""
 
     def __init__(self, phi: RationalPoly, p: int) -> None:
-        d = phi.degree
-        vals = [
-            (i, _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p))
-            for i, c in enumerate(phi.coefficients)
-            if c
-        ]
-        self.vad = vad = vals[-1][1]
+        *low, lead = phi.coefficients
+        d = len(low)
+        self.vad = vad = _int_valuation(lead.numerator, p) - _int_valuation(lead.denominator, p)
         # v_C = vn / vd, the least of -vad/(d-1) and (v - vad)/(d-i).
         vn, vd = -vad, d - 1
-        for i, v in vals[:-1]:
-            if (v - vad) * vd < vn * (d - i):
-                vn, vd = v - vad, d - i
+        min_val = vad
+        for i, c in enumerate(low):
+            if c.numerator:
+                v = _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p)
+                if v < min_val:
+                    min_val = v
+                if (v - vad) * vd < vn * (d - i):
+                    vn, vd = v - vad, d - i
         self.v_c = Fraction(vn, vd)
-        self.min_val = min(v for _, v in vals)
+        self.min_val = min_val
         # bound_q = max(0, -t_floor) + |vad|/(d-1), t_floor = min_val + d*min(v_C, 0).
         neg_t = max(0, d * max(0, -vn) - self.min_val * vd)
         self.tail_const = (neg_t * (d - 1) + abs(vad) * vd) / (vd * (d - 1)) * math.log(p)
@@ -362,14 +365,19 @@ def filled_julia_membership(
     provisioned so that every valuation compared against the threshold is
     provably the true one; it depends only on phi, p, ``max_iter`` and the
     size of the starting radius, so its plan is computed once and kept on
-    the map object; a call that ends at step 0 or 1 pays for little more
-    than those steps.  A disc state is the lowest-terms pair (num, den) of
-    its center and the Fraction rho.  A step is one ``_taylor_shift`` on
-    phi's integer form (w, A), looked up at the first step: its numerators
-    e_n give val(c_n) = val(e_n) - val(w) - (d - n)*val(den), and the new
-    center e_0 / (w den**d) in lowest terms by one gcd.  A type I state is
-    the lowest-terms integer pair (a, b) of its center a/b, stepped by
-    Horner's rule on phi's integer form; it stays exact while the orbit can
+    the map object.  The plan and phi's integer form (w, A) are looked up
+    at the first advance, so a call that ends at step 0 builds neither and
+    one that ends at step 1 pays for little more than its steps.  A disc
+    state is the lowest-terms pair (num, den) of its center and the
+    Fraction rho = r/q, which only the radius update reads as a Fraction:
+    the escape test (t * den(v_C) < num(v_C), r * den(v_C) < num(v_C) * q
+    when t = rho), the cycle key (a, b, r, q) and the trust test
+    r >= rho_trust * q work on integers.  A step is one ``_taylor_shift``
+    on the integer form: its numerators e_n give val(c_n) = val(e_n) -
+    val(w) - (d - n)*val(den), and the new center e_0 / (w den**d) in
+    lowest terms by one gcd.  A type I state is the lowest-terms integer
+    pair (a, b) of its center a/b, stepped by Horner's rule on phi's
+    integer form (see ``_type_i_orbit``); it stays exact while the orbit can
     repeat: until, at some step m >= 1, its naive height passes the growth
     bound of ``_height_growth_bound``.  From there on heights increase
     strictly, so the orbit provably never repeats; each step runs modulo a
@@ -395,29 +403,38 @@ def filled_julia_membership(
     v_c = escape_threshold(phi, p)  # checks the map
     if zeta.is_type_i:
         return _type_i_orbit(phi, zeta.center, p, v_c, max_iter)
-    plan = map_invariant(phi, _OrbitPlan, p, max_iter, 2 * math.ceil(abs(zeta.rho)))
+    vn, vd = v_c.numerator, v_c.denominator
     num, den = zeta.center.numerator, zeta.center.denominator
     rho = zeta.rho
+    r, q = rho.numerator, rho.denominator
+    # The plan's W is read at the first advance.  Until then the step-0
+    # stand-in 2*ceil(|rho_0|) serves: ceil(rho_0) <= 2*ceil(|rho_0|) < trust
+    # <= W, so min(ceil(rho_0), W) = ceil(rho_0) under either.
+    rho0_mag = window = 2 * math.ceil(abs(rho))
     form = None  # phi's integer form, looked up at the first advance
     certifiable = True
     seen: dict[tuple, int] = {}
 
     for m in range(max_iter + 1):
         # The step's one reduction.  While certifiable, rho < rho_trust <= W,
-        # so (a, b, rho) names the disc: the cycle key.  t = min(val(center),
+        # so (a, b, r, q) names the disc: the cycle key.  t = min(val(center),
         # rho), as a nonzero residue has valuation below ceil(rho), so rho.
         # A computed value at or above trust (rho_trust for rho) is only
         # known to be large; both exceed v_C, so such a value never passes
-        # the test and one that does is the true value.
-        a, b = _reduce_pair(num, den, p, min(math.ceil(rho), plan.window))
+        # the test and one that does is the true value.  The escape test
+        # t < v_C is taken on the integers of t and v_C.
+        a, b = _reduce_pair(num, den, p, min(-(-r // q), window))
         if max(abs(a), b) < max(abs(num), den):
             num, den = a, b
-        t = _int_valuation(a, p) - _int_valuation(b, p) if a else rho
-        if t < v_c:
-            return Escaped(m, Fraction(t))
+        if a:
+            t = _int_valuation(a, p) - _int_valuation(b, p)
+            if vd * t < vn:
+                return Escaped(m, Fraction(t))
+        elif r * vd < vn * q:
+            return Escaped(m, rho)
 
         if certifiable:
-            key = (a, b, rho)
+            key = (a, b, r, q)
             if key in seen:
                 return BoundedCertified(seen[key], m - seen[key])
             seen[key] = m
@@ -432,6 +449,8 @@ def filled_julia_membership(
             w, d = form[0], phi.degree
             vw = _int_valuation(w, p)
             integral = map_invariant(phi, _LocalInvariants, p).integral
+            plan = map_invariant(phi, _OrbitPlan, p, max_iter, rho0_mag)
+            window, rho_trust = plan.window, plan.rho_trust
         e = _taylor_shift(form, num, den)
         vden = _int_valuation(den, p)
         rho = min(
@@ -439,10 +458,11 @@ def filled_julia_membership(
             for n in range(1, d + 1)
             if e[n]  # e_d = A_d != 0
         )
+        r, q = rho.numerator, rho.denominator
         den = w * den**d
         g = math.gcd(e[0], den)
         num, den = e[0] // g, den // g
-        if rho >= plan.rho_trust:
+        if r >= rho_trust * q:
             # The integral trap: a p-integral map keeps a p-integral center
             # p-integral and a radius valuation >= 0 at least as large, so
             # t >= 0 >= v_C and rho >= rho_trust at every later step: this
@@ -463,10 +483,13 @@ def _type_i_orbit(
     (a, b) itself as the cycle key.  Once the orbit is past the growth
     bound, the integral trap (a p-integral map at a p-integral state) ends
     it with BoundedUpTo(max_iter), the only verdict its remaining steps
-    could give; else each state is its residue modulo p**W, so a Horner
-    product has about 2W base-p digits, not d*W.  Callers check phi, p and
-    max_iter; ``local_escape_rate`` calls it directly."""
-    form = map_invariant(phi, _integer_form)
+    could give; it is tested before the plan's W is looked up, so an orbit
+    trapped there never builds the plan.  Else each state is its residue
+    modulo p**W, so a Horner product has about 2W base-p digits, not d*W.
+    phi's integer form is looked up at the first advance, so an orbit that
+    escapes at step 0 never builds it.  Callers check phi, p and max_iter;
+    ``local_escape_rate`` calls it directly."""
+    form = None  # phi's integer form, looked up at the first advance
     vn, vd = v_c.numerator, v_c.denominator
     a, b = center.numerator, center.denominator
     certifiable = True
@@ -489,8 +512,6 @@ def _type_i_orbit(
             if math.log(max(abs(a), b)) > bound:
                 certifiable = False  # the orbit can no longer repeat
                 integral = map_invariant(phi, _LocalInvariants, p).integral
-                window = map_invariant(phi, _OrbitPlan, p, max_iter, 0).window
-                top, d = p ** (window + _int_valuation(form[0], p)), phi.degree
             else:
                 key = (a, b)
                 if key in seen:
@@ -503,6 +524,9 @@ def _type_i_orbit(
             # v_C <= 0 <= t, so this orbit can neither escape nor cycle.
             if integral and b % p:
                 break
+            if not mod:  # the first step past the growth bound
+                window = map_invariant(phi, _OrbitPlan, p, max_iter, 0).window
+                top, d = p ** (window + _int_valuation(form[0], p)), phi.degree
             # A pair stays exact while the orbit can repeat: a reduced one
             # could give two distinct points the same cycle key.  Past that,
             # the state is its residue mod p**W, a/b with b = p**e or 1.  Its
@@ -514,6 +538,8 @@ def _type_i_orbit(
 
         if m == max_iter:
             break
+        if form is None:
+            form = map_invariant(phi, _integer_form)
         a, b = _image(form, a, b, mod)
 
     return BoundedUpTo(max_iter)

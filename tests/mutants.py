@@ -7,16 +7,17 @@ Run from the repository root (it takes a few minutes):
     python3 tests/mutants.py NAME ...     # some of them
 
 Each mutant replaces one text, which must occur exactly once, in one file of
-``src/padicdyn``.  The runner copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, first runs the named tests of
-the chosen mutants there unmutated (they must pass), then for each mutant
-applies it to a fresh copy, runs its named tests with ``pytest -x`` and
-compares the outcome with the expected one: "killed" (a named test fails) or
-"survives" (they all pass; the note says why no test catches it, or why the
-mutant is equivalent).  It exits 1 if an outcome differs from the expected
-one or a mutant no longer applies.  The list only grows: a mutant that a new
-test kills changes its expected outcome, and an equivalent one stays with its
-argument.  Standard library only, besides the test suite's own pytest.
+``src/padicdyn``.  The runner copies ``src/``, ``tests/``, ``bench/`` (a
+tier-1 test runs its seed-0 pins) and ``pyproject.toml`` to a temporary
+directory, first runs the named tests of the chosen mutants there unmutated
+(they must pass), then for each mutant applies it to a fresh copy, runs its
+named tests with ``pytest -x`` and compares the outcome with the expected
+one: "killed" (a named test fails) or "survives" (they all pass; the note
+says why no test catches it, or why the mutant is equivalent).  It exits 1
+if an outcome differs from the expected one or a mutant no longer applies.
+The list only grows: a mutant that a new test kills changes its expected
+outcome, and an equivalent one stays with its argument.  Standard library
+only, besides the test suite's own pytest.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ MUTANTS = [
     Mutant(
         "disc-rho-trust-strict",
         BERKOVICH,
-        "if rho >= plan.rho_trust:",
-        "if rho > plan.rho_trust:",
+        "if r >= rho_trust * q:",
+        "if r > rho_trust * q:",
         (
             "tests/test_berkovich.py::TestFilledJuliaMembership::"
             "test_disc_whose_radius_reaches_rho_trust_is_not_certified",
@@ -88,8 +89,10 @@ MUTANTS = [
         "* math.log(phi.degree)) * 1.01 + 1e-300",
         "* math.log(phi.degree)) * 0.5 + 1e-300",
         TIER_1,
-        "survives",
-        "equivalent: no escape at steps 0..max_iter puts the first escape at step m > max_iter, at a "
+        "killed",
+        "killed only as a changed output: the bench's requests anchor pins the bound that the CLI "
+        "prints (test_bench_seed_0_pins).  The halved bound is still sound: no escape at steps "
+        "0..max_iter puts the first escape at step m > max_iter, at a "
         "valuation t >= t_floor, so |g_p| = d**-m * (-t - val(a_d)/(d-1)) * log p <= "
         "d**-(max_iter+1) * bound_q * log p, which is at most half of the bound without its 1.01 for "
         "every d >= 2; the exact-orbit oracle reaches 0.495 of today's bound at d = 2 and kills any "
@@ -141,10 +144,35 @@ MUTANTS = [
     Mutant(
         "disc-escape-not-strict",
         BERKOVICH,
-        "if t < v_c:",
-        "if t <= v_c:",
+        "if vd * t < vn:",
+        "if vd * t <= vn:",
         ("tests/test_berkovich.py",),
         "killed",
+        "a nonzero residue's valuation at v_C",
+    ),
+    Mutant(
+        "disc-zero-residue-escape-not-strict",
+        BERKOVICH,
+        "elif r * vd < vn * q:",
+        "elif r * vd <= vn * q:",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_disc_at_the_escape_threshold_is_a_fixed_disc",
+        ),
+        "killed",
+        "X**3/2 at 2 fixes D(0, 1/2), whose radius valuation is v_C, checked by a pushforward replay",
+    ),
+    Mutant(
+        "disc-cycle-key-drops-rho-denominator",
+        BERKOVICH,
+        "key = (a, b, r, q)",
+        "key = (a, b, r)",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_radii_with_equal_numerators_are_different_discs",
+        ),
+        "killed",
+        "X**2 + 3X at 3 maps D(0, 1/2) onto D(0, 1): radius numerators 1 and 1, a false cycle",
     ),
     Mutant(
         "escape-threshold-max",
@@ -193,7 +221,7 @@ MUTANTS = [
         ),
         "killed",
     ),
-    # -- the integral trap of the disc loop -----------------------------------
+    # -- the integral traps of the disc and type I loops -----------------------
     Mutant(
         "disc-trap-ignores-center-denominator",
         BERKOVICH,
@@ -221,14 +249,26 @@ MUTANTS = [
     Mutant(
         "disc-trap-one-below-rho-trust",
         BERKOVICH,
-        "if rho >= plan.rho_trust:",
-        "if rho >= plan.rho_trust - 1:",
+        "if r >= rho_trust * q:",
+        "if r >= (rho_trust - 1) * q:",
         (
             "tests/test_berkovich.py::TestFilledJuliaMembership::"
             "test_integral_disc_past_rho_trust_stops_at_the_trap",
         ),
         "killed",
         "a fixed disc of radius valuation rho_trust - 2/3 about an integral center is certified",
+    ),
+    Mutant(
+        "type-i-trap-ignores-point-denominator",
+        BERKOVICH,
+        "if integral and b % p:",
+        "if integral:",
+        (
+            "tests/test_berkovich.py::TestFilledJuliaMembership::"
+            "test_type_i_point_with_p_in_its_denominator_past_the_growth_bound_escapes_later",
+        ),
+        "killed",
+        "3X**3 + X**2 at 3 takes 29/3 past its growth bound to 8410/3, of valuation -1, then escapes",
     ),
     # -- the p-adic tail bound against the exact-orbit oracle ------------------
     Mutant(
@@ -295,8 +335,8 @@ MUTANTS = [
 
 
 def _copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

@@ -51,6 +51,7 @@ from padicdyn.berkovich import (
     _OrbitPlan,
     _simplest_open,
 )
+from padicdyn.polynomial import _integer_form
 
 
 def P(*ascending):
@@ -717,6 +718,67 @@ class TestFilledJuliaMembership:
         verdict = filled_julia_membership(phi, start, max_iter)
         assert verdict == Escaped(3) and verdict.valuation == -5
         assert self._fraction_disc_replay(phi, start, max_iter) == verdict
+
+    def test_disc_at_the_escape_threshold_is_a_fixed_disc(self):
+        # X**3/2 has v_C = 1/2 at 2 and maps D(0, rho) onto D(0, 3*rho - 1),
+        # so D(0, 1/2) is fixed: its radius valuation equals v_C, which is
+        # no escape.  A zero residue's test r * den(v_C) <= num(v_C) * q
+        # would call it escaped.  From 1/3 the disc escapes at once.
+        phi = P(0, 0, 0, F(1, 2))
+        assert escape_threshold(phi, 2) == F(1, 2)
+        fixed = DiscPoint(0, F(1, 2), 2)
+        assert pushforward(phi, fixed) == fixed
+        for start, verdict in ((fixed, BoundedCertified(0, 1)), (DiscPoint(0, F(1, 3), 2), Escaped(0))):
+            got = filled_julia_membership(phi, start, 16)
+            assert got == verdict == self._fraction_disc_replay(phi, start, 16)
+            assert getattr(got, "valuation", None) == (F(1, 3) if got == Escaped(0) else None)
+
+    def test_radii_with_equal_numerators_are_different_discs(self):
+        # X**2 + 3X at 3 maps D(0, rho) onto D(0, min(rho + 1, 2*rho)):
+        # radii 1/2, 1, 2, 3, ... by a pushforward replay, so no disc
+        # recurs.  A cycle key without rho's denominator would see the
+        # numerator 1 of 1/2 and of 1 at the center 0 and certify a cycle.
+        phi, start = P(0, 3, 1), DiscPoint(0, F(1, 2), 3)
+        zeta = start
+        for rho in (F(1, 2), 1, 2, 3, 4):
+            assert zeta == DiscPoint(0, rho, 3)
+            zeta = pushforward(phi, zeta)
+        verdict = filled_julia_membership(phi, start, 16)
+        assert verdict == BoundedUpTo(16) == self._fraction_disc_replay(phi, start, 16)
+
+    def test_type_i_point_with_p_in_its_denominator_past_the_growth_bound_escapes_later(self):
+        # 3X**3 + X**2 is 3-integral with v_C = -1 and a growth bound below
+        # log 6.  From 29/3 the orbit is 8410/3, past the growth bound at
+        # valuation -1, and then valuation -2: an escape at step 2.  A trap
+        # that ignored the point's denominator would answer BoundedUpTo.
+        phi, x = P(0, 0, 1, 3), F(29, 3)
+        assert escape_threshold(phi, 3) == -1 and phi(x) == F(8410, 3)
+        assert weil_height(phi(x)) > is_preperiodic(phi, x).growth_bound
+        assert val(phi(phi(x)), 3) == -2
+        verdict = filled_julia_membership(phi, DiscPoint(x, INF, 3), 16)
+        assert verdict == Escaped(2) and verdict.valuation == -2
+
+    def test_a_call_builds_only_the_invariants_it_reads(self):
+        # Per-map invariants are looked up when a call first reads them: a
+        # disc or point that escapes at step 0 builds neither the orbit plan
+        # nor the integer form, and a type I orbit that ends at the integral
+        # trap builds no plan.
+        def built(phi):
+            return {key[0] for key in phi._prepared}
+
+        for phi, zeta in (
+            (P(0, 0, 0, F(1, 2)), DiscPoint(0, F(1, 3), 2)),
+            (P(1, 0, 1), DiscPoint(F(1, 3), INF, 3)),
+        ):
+            assert filled_julia_membership(phi, zeta, 64) == Escaped(0)
+            assert built(phi) == {_LocalInvariants}
+        phi = parse_polynomial("7*X^5+X+1")
+        assert filled_julia_membership(phi, DiscPoint(F(1, 2), INF, 7), 64) == BoundedUpTo(64)
+        assert built(phi) == {_LocalInvariants, _integer_form, berkovich._height_growth_bound}
+        # an orbit that is not trapped builds the plan at the growth bound
+        phi = P(0, 0, 1, 3)
+        assert filled_julia_membership(phi, DiscPoint(F(29, 3), INF, 3), 16) == Escaped(2)
+        assert _OrbitPlan in built(phi)
 
     def test_a_small_fixed_center_stays_as_it_is(self):
         # 1/2 is fixed with multiplier 3 at p = 3, so the radius valuation

@@ -7,7 +7,8 @@ membership calls with a time limit.  The workflow's ``timeout`` for each is a
 wall-clock assertion here.  An output that changes
 on purpose updates its digest here and in the workflow.  The call counts of
 the worked-quintic survey, which ``bench/selftest.py`` checks on a traced
-run, are pinned here too.
+run, are pinned here too, and so are the bench's seed-0 pins of its four
+workloads, each run as the workflow runs it.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from padicdyn import (
 )
 
 _SRC = str(Path(padicdyn.__file__).resolve().parents[1])
+_BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 @pytest.mark.parametrize(
@@ -225,3 +227,17 @@ def test_worked_quintic_survey_call_counts():
         "canonical_height": 3095,
     }
     assert all(getattr(m, b) is v for m, b, v in undo)
+
+
+@pytest.mark.parametrize("workload", ["survey", "orbits", "requests", "lcm"])
+def test_bench_seed_0_pins(workload):
+    # the workflow's full-size seed-0 pins: a fresh interpreter runs the
+    # workload's pinned blocks once, gates every output and compares the
+    # digest with bench/pins.json; the last stdout line is the run's result
+    done = subprocess.run(
+        [sys.executable, str(_BENCH_RUN), "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()[-2000:]
+    assert json.loads(done.stdout.decode().splitlines()[-1])["correct"] is True
